@@ -26,17 +26,16 @@ package models exactly that interaction:
 gated by the event loop's per-step cost, so the innermost state is
 struct-of-arrays: the fabric keeps flow ``src``/``dst``/``remaining``/
 ``rate`` in flat numpy arrays (insertion-ordered; :class:`Flow`
-objects are handles into them), water-fills via ``np.bincount``
-incidence counts with a vectorized fair-share pass per saturated
-resource, and fuses ``horizon``/``advance`` into single array
-expressions.  Below ~64 flows the water-filling/horizon scans cut over
-to the scalar reference algorithm (numpy dispatch overhead beats
-vectorization on tiny operands; both paths are bit-identical, which a
-hypothesis test enforces).  Per event step the cost is
+objects are handles into them).  Water-filling, the flow completion
+bound and the flow advance each have one implementation per leg: the
+numba kernels in :mod:`repro.simulator._kernels` when numba is
+importable, otherwise the scalar reference loops (numpy array passes
+do not repay their per-call dispatch here, even at 10k flows).  Per
+event step the cost is
 
 * one lazy water-filling — skipped entirely unless a flow arrived or
   completed, a shaper ceiling moved, or a caller invalidated rates;
-  otherwise O(bottlenecks x flows) in vectorized ops;
+  otherwise O(bottlenecks x flows);
 * one cached per-node egress aggregation (``bincount``), shared by
   telemetry, ``horizon``, and ``advance`` instead of recomputed
   thrice;

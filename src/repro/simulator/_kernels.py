@@ -10,13 +10,14 @@ selection happens once at import:
   and the public names (:func:`waterfill`, :func:`flow_min_bound`,
   :func:`advance_flows`) are ``njit``-compiled (IEEE-strict: no
   ``fastmath``, so no FMA contraction — bit-exactness against the
-  numpy paths is part of the contract and pinned by the golden trace);
+  fabric's scalar reference loops is part of the contract and pinned
+  by the golden trace);
 * numba missing, or ``REPRO_NO_JIT`` set to anything non-empty →
   :data:`HAVE_JIT` is False and
-  :class:`~repro.simulator.fabric.Fabric` keeps its numpy/scalar
-  implementations (the compiled kernels would be *slower* as
-  interpreted Python, so the fallback is "don't call them", not "call
-  them uncompiled").
+  :class:`~repro.simulator.fabric.Fabric` runs its scalar reference
+  loops (the kernels as interpreted Python, over numpy element
+  access, would be *slower*, so the fallback is "don't call them",
+  not "call them uncompiled").
 
 The uncompiled originals stay importable as ``*_py`` so the identity
 tests can pin kernel algorithm ≡ fabric reference even on machines

@@ -15,17 +15,18 @@ assignment stays valid (flow completions and shaper transitions), and
 
 Internally the fabric is a struct-of-arrays engine: flow endpoints,
 remaining volumes, and rates live in flat numpy arrays kept in flow
-insertion order, so water-filling runs as ``np.bincount`` incidence
-counts plus vectorized fair-share passes, and ``horizon``/``advance``
-are single fused array expressions instead of per-flow Python loops.
-:class:`Flow` objects are handles into those arrays.  The vectorized
-water-filling reproduces the reference progressive-filling algorithm
-*bit for bit* — same saturation order, same tie-breaking (first
-resource in flow-insertion order wins), same floating-point operation
-order for the per-flow capacity subtractions — which is what lets the
-golden-trace equivalence test pin pre-refactor outputs exactly.
+insertion order, and :class:`Flow` objects are handles into them.
+Each computation has one implementation per leg: with numba, the
+compiled :mod:`repro.simulator._kernels` loops; without it, the scalar
+reference progressive filling (cached flow/resource topology, Python
+scalars) and plain per-flow bound and advance loops.  Both legs
+reproduce the reference algorithm *bit for bit* — same saturation
+order, same tie-breaking (first resource in flow-insertion order
+wins), same floating-point operation order for the per-flow capacity
+subtractions — which is what lets the golden-trace equivalence test
+pin pre-refactor outputs exactly.
 
-The shaper side is batched the same way: the fabric holds a
+The shaper side is batched: the fabric holds a
 :class:`~repro.netmodel.fleet.LinkModelFleet` (built automatically
 from the ``egress_models`` sequence — homogeneous model lists get
 struct-of-arrays fleets, anything else the per-model
@@ -57,13 +58,6 @@ _COMPLETE_EPS_GBIT = 1e-9
 
 #: Initial capacity of the flow arrays; doubled on demand.
 _MIN_CAPACITY = 64
-
-#: Below this many flows the water-filling and horizon scans run the
-#: scalar reference algorithm: per-call numpy dispatch overhead beats
-#: vectorization on tiny operands (small scenario-campaign cells),
-#: while dense flow sets want the array path.  Both paths are
-#: bit-identical by construction (see tests/simulator/test_fabric.py).
-_SCALAR_CUTOFF = 64
 
 #: Default relative tolerance for event-horizon coalescing: shaper
 #: horizons within this factor of the step bound resolve in the same
@@ -332,77 +326,19 @@ class Fabric:
                 self._ingress_arr.copy(),
                 self._rate[:n],
             )
-            self._rates_valid = True
-            return
-        if n < _SCALAR_CUTOFF:
+        else:
             self._compute_rates_scalar(n)
-            self._rates_valid = True
-            return
-        src = self._src[:n]
-        dst = self._dst[:n]
-        rate = self._rate[:n]
-        rate[:] = 0.0
-        n_nodes = self.n_nodes
-
-        out_rem = self.fleet.limits()
-        in_rem = self._ingress_arr.copy()
-        out_counts = np.bincount(src, minlength=n_nodes)
-        in_counts = np.bincount(dst, minlength=n_nodes)
-        ranks: np.ndarray | None = None
-
-        unfixed = np.ones(n, dtype=bool)
-        n_unfixed = n
-        shares = np.empty(2 * n_nodes, dtype=float)
-        while n_unfixed:
-            # Fair share each resource could give its unfixed flows.
-            shares[:] = np.inf
-            np.divide(
-                out_rem, out_counts, out=shares[:n_nodes], where=out_counts > 0
-            )
-            np.divide(
-                in_rem, in_counts, out=shares[n_nodes:], where=in_counts > 0
-            )
-            best_share = shares.min()
-            if not math.isfinite(best_share):
-                break
-            candidates = np.flatnonzero(shares == best_share)
-            if candidates.shape[0] == 1:
-                best = int(candidates[0])
-            else:
-                if ranks is None:
-                    ranks = self._tie_break_ranks(src, dst)
-                best = int(candidates[np.argmin(ranks[candidates])])
-            # Freeze the bottleneck's flows at the fair share.
-            if best < n_nodes:
-                selected = unfixed & (src == best)
-            else:
-                selected = unfixed & (dst == best - n_nodes)
-            frozen = np.flatnonzero(selected)
-            rate_val = max(float(best_share), 0.0)
-            rate[frozen] = rate_val
-            unfixed[frozen] = False
-            n_unfixed -= frozen.shape[0]
-            frozen_src = src[frozen]
-            frozen_dst = dst[frozen]
-            # Scalar clamped subtraction per frozen flow, matching the
-            # reference loop's floating-point operation order (the
-            # per-iteration rate is uniform, so order within the batch
-            # cannot change the result).
-            for s_node, d_node in zip(frozen_src.tolist(), frozen_dst.tolist()):
-                out_rem[s_node] = max(out_rem[s_node] - rate_val, 0.0)
-                in_rem[d_node] = max(in_rem[d_node] - rate_val, 0.0)
-            out_counts -= np.bincount(frozen_src, minlength=n_nodes)
-            in_counts -= np.bincount(frozen_dst, minlength=n_nodes)
         self._rates_valid = True
 
     def _compute_rates_scalar(self, n: int) -> None:
         """Reference progressive filling over Python scalars.
 
         Semantically (and bit-for-bit) the same algorithm as the
-        vectorized path: resources tracked in one insertion-ordered
-        dict — (out, src), (in, dst) per flow in flow order — the
-        tightest fair share saturates first, first-inserted resource
-        wins ties, and capacity subtraction clamps per frozen flow.
+        compiled :func:`~repro.simulator._kernels.waterfill`: resources
+        ranked by first appearance — (out, src), (in, dst) per flow in
+        flow order — the tightest fair share saturates first, the
+        first-ranked resource wins ties, and capacity subtraction
+        clamps per frozen flow.
 
         Active-flow counts per resource are maintained incrementally
         (decremented as flows freeze) instead of intersecting member
@@ -424,7 +360,6 @@ class Fabric:
         if topo is None:
             src = self._src[:n].tolist()
             dst = self._dst[:n].tolist()
-            caps = self.ingress_caps
             # Resources as flat parallel lists in first-appearance order
             # over the (out, src), (in, dst) sequence — the same rank
             # the reference dict ordering produced, without per-round
@@ -521,24 +456,6 @@ class Fabric:
                 res_cnt[rid] -= 1
         self._rate[:n] = rates
 
-    def _tie_break_ranks(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Resource order used to break exact fair-share ties.
-
-        Replicates the reference implementation's dict ordering:
-        resources rank by first appearance in the (out, src), (in, dst)
-        sequence over flows in insertion order, and the lowest-ranked
-        resource wins.  Computed lazily — most water-filling iterations
-        have a unique bottleneck.
-        """
-        n = src.shape[0]
-        n_nodes = self.n_nodes
-        positions = 2 * np.arange(n, dtype=np.intp)
-        out_rank = np.full(n_nodes, 2 * n + 2, dtype=np.intp)
-        in_rank = np.full(n_nodes, 2 * n + 2, dtype=np.intp)
-        np.minimum.at(out_rank, src, positions)
-        np.minimum.at(in_rank, dst, positions + 1)
-        return np.concatenate([out_rank, in_rank])
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -553,34 +470,23 @@ class Fabric:
         if self._egress_cache is None:
             n = self._n
             out = self._egress_out
-            if out is not None:
+            if out is None:
+                out = np.zeros(self.n_nodes, dtype=float)
+            else:
                 out.fill(0.0)
-                if n <= 8:
-                    src = self._src
-                    rate = self._rate
-                    for i in range(n):
-                        out[src[i]] += rate[i]
-                else:
-                    out[:] = np.bincount(
-                        self._src[:n],
-                        weights=self._rate[:n],
-                        minlength=self.n_nodes,
-                    )
-                self._egress_cache = out
-            elif n <= 8:
+            if n <= 8:
                 # bincount accumulates weights in input order; this
                 # loop performs the identical additions, skipping the
                 # ufunc dispatch that dominates at campaign-cell sizes.
-                out = np.zeros(self.n_nodes, dtype=float)
                 src = self._src
                 rate = self._rate
                 for i in range(n):
                     out[src[i]] += rate[i]
-                self._egress_cache = out
             else:
-                self._egress_cache = np.bincount(
+                out[:] = np.bincount(
                     self._src[:n], weights=self._rate[:n], minlength=self.n_nodes
                 )
+            self._egress_cache = out
         return self._egress_cache
 
     def node_egress_rates(self) -> np.ndarray:
@@ -610,35 +516,19 @@ class Fabric:
         """
         if not self._rates_valid:
             self.compute_rates()
-        egress = self._egress_raw()
-        shaper_bounds = self.fleet.horizons(egress)
-        shaper_min = float(shaper_bounds.min()) if shaper_bounds.size else math.inf
-        flow_bound = self._flow_completion_bound(shaper_min)
-        bound = flow_bound if flow_bound < shaper_min else shaper_min
-        if self.coalesce_eps > 0.0 and 0.0 < bound < math.inf:
-            ceiling = bound * (1.0 + self.coalesce_eps)
-            # Only scan for near-ties when a shaper is at (or within
-            # epsilon of) the binding event; when a flow completion
-            # binds well before any shaper, there is nothing to
-            # coalesce.
-            if shaper_min <= ceiling:
-                near = shaper_bounds[shaper_bounds <= ceiling]
-                coalesced = float(near.max())
-                if coalesced > bound:
-                    bound = coalesced
-        return bound
+        return self.horizon_with_shaper_bounds(
+            self.fleet.horizons(self._egress_raw()).tolist()
+        )
 
     def horizon_with_shaper_bounds(self, shaper_bounds: list[float]) -> float:
         """:meth:`horizon` with externally computed shaper horizons.
 
-        The batched multistream runner gathers every cell's shaper
-        horizons in one concatenated super-fleet call and hands each
-        fabric its slice (as a plain float list) here.  The combine —
-        shaper minimum, flow completion bound (with the same skip
-        cache), near-tie coalescing — is selection-only over the same
-        float64 values :meth:`horizon` would compute, so the result is
-        bit-identical; only the numpy dispatches on a tiny per-cell
-        array are replaced by scalar Python.
+        This is the one combine — shaper minimum, flow completion bound
+        (with its skip cache), near-tie coalescing — behind every
+        horizon: :meth:`horizon` passes its own fleet's horizons, and
+        the batched multistream runner, which gathers every cell's
+        shaper horizons in one concatenated super-fleet call, hands
+        each fabric its slice (as a plain float list) here.
 
         Callers must have computed rates (the runner's step prologue
         does) and pass exactly one horizon per node, taken from this
@@ -651,9 +541,13 @@ class Fabric:
         bound = flow_bound if flow_bound < shaper_min else shaper_min
         if self.coalesce_eps > 0.0 and 0.0 < bound < math.inf:
             ceiling = bound * (1.0 + self.coalesce_eps)
+            # Only scan for near-ties when a shaper is at (or within
+            # epsilon of) the binding event; when a flow completion
+            # binds well before any shaper, there is nothing to
+            # coalesce.
             if shaper_min <= ceiling:
                 # max over {h <= ceiling}: the set contains shaper_min,
-                # so seeding the scan with it is the numpy ``near.max()``.
+                # so the scan can start from it.
                 coalesced = shaper_min
                 for h in shaper_bounds:
                     if h <= ceiling and h > coalesced:
@@ -670,8 +564,7 @@ class Fabric:
         binding shaper event, the O(flows) scan could neither tighten
         the step nor join the coalesced set — skip it and report inf.
         (An infinite ``shaper_min`` never takes this path.)  Otherwise
-        scan (kernel, scalar, or vectorized by flow count) and refresh
-        the cache.
+        scan (compiled kernel or scalar loop) and refresh the cache.
         """
         n = self._n
         if self._flow_bound_valid and self._flow_bound > shaper_min * (
@@ -691,7 +584,7 @@ class Fabric:
                 flow_bound = math.inf
             else:
                 flow_bound = rem / rate
-        elif 0 < n < _SCALAR_CUTOFF:
+        elif n:
             flow_bound = math.inf
             rates = self._rate[:n].tolist()
             for rem, rate in zip(self._remaining[:n].tolist(), rates):
@@ -703,13 +596,6 @@ class Fabric:
                     completion = rem / rate
                 if completion < flow_bound:
                     flow_bound = completion
-        elif n:
-            remaining = self._remaining[:n]
-            rate = self._rate[:n]
-            completion = np.full(n, math.inf)
-            np.divide(remaining, rate, out=completion, where=rate > 0.0)
-            completion[remaining <= 0.0] = 0.0
-            flow_bound = float(completion.min())
         else:
             return math.inf
         self._flow_bound = flow_bound
@@ -775,11 +661,9 @@ class Fabric:
                     )
                     self._rates_valid = False
                     self._egress_cache = None
-            elif n < _SCALAR_CUTOFF:
-                # Scalar loop over a handful of flows: the same
-                # ``remaining -= rate * dt`` multiply-subtract per
-                # element (IEEE-identical to the vectorized update),
-                # without numpy dispatch on tiny arrays.
+            else:
+                # The same ``remaining -= rate * dt`` multiply-subtract
+                # per element as the compiled kernel.
                 remaining = self._remaining
                 rem_list = remaining[:n].tolist()
                 rate_list = self._rate[:n].tolist()
@@ -797,16 +681,6 @@ class Fabric:
                     self._compact(
                         keep, removed=np.array(done_list, dtype=np.intp)
                     )
-                    self._rates_valid = False
-                    self._egress_cache = None
-            else:
-                remaining = self._remaining[:n]
-                remaining -= self._rate[:n] * dt
-                done = remaining <= _COMPLETE_EPS_GBIT
-                done_idx = np.flatnonzero(done)
-                if done_idx.shape[0]:
-                    completed = [self._handles[i] for i in done_idx.tolist()]
-                    self._compact(~done, removed=done_idx)
                     self._rates_valid = False
                     self._egress_cache = None
         if limit_changed:

@@ -3,8 +3,7 @@
 The ``repro.simulator._kernels`` functions are the fabric's hot loops
 re-expressed for numba.  The contract is bit-exactness: the plain-
 Python ``*_py`` variants (always importable, compiled or not) must
-reproduce the fabric's scalar/vectorized reference paths to the last
-bit, and — where numba is installed — the compiled entry points must
+reproduce the fabric's scalar reference paths to the last bit, and — where numba is installed — the compiled entry points must
 match the ``*_py`` sources exactly (``fastmath`` stays off, so there
 is no FMA contraction to diverge them).
 """
@@ -22,35 +21,35 @@ from hypothesis import strategies as st
 from repro.netmodel import ConstantRateModel
 from repro.simulator import Fabric
 from repro.simulator import _kernels
-from repro.simulator import fabric as fabric_mod
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _random_instance(seed, n_flows, n_nodes=7):
+def _random_instance(seed, n_flows, n_nodes=7, tied=False):
     rng = np.random.default_rng(seed)
     flows = []
     for _ in range(n_flows):
         src, dst = rng.choice(n_nodes, size=2, replace=False)
         flows.append((int(src), int(dst), float(rng.uniform(1, 100))))
-    egress = [float(v) for v in rng.uniform(1.0, 12.0, size=n_nodes)]
-    ingress = [float(v) for v in rng.uniform(1.0, 12.0, size=n_nodes)]
+    if tied:
+        # Two cap levels shared by many nodes, like a uniform cluster
+        # whose shapers sit in one of two tiers: fair shares tie
+        # exactly, so the first-appearance tie-break decides.
+        egress = [float(v) for v in rng.choice([10.0, 25.0], size=n_nodes)]
+        ingress = [float(v) for v in rng.choice([10.0, 25.0], size=n_nodes)]
+    else:
+        egress = [float(v) for v in rng.uniform(1.0, 12.0, size=n_nodes)]
+        ingress = [float(v) for v in rng.uniform(1.0, 12.0, size=n_nodes)]
     return flows, egress, ingress
 
 
-def _fabric_for(flows, egress, ingress, cutoff):
-    original = fabric_mod._SCALAR_CUTOFF
-    fabric_mod._SCALAR_CUTOFF = cutoff
-    try:
-        fab = Fabric(
-            egress_models=[ConstantRateModel(e) for e in egress],
-            ingress_caps_gbps=ingress,
-        )
-        for f in flows:
-            fab.add_flow(*f)
-        fab.compute_rates()
-    finally:
-        fabric_mod._SCALAR_CUTOFF = original
+def _fabric_for(flows, egress, ingress):
+    fab = Fabric(
+        egress_models=[ConstantRateModel(e) for e in egress],
+        ingress_caps_gbps=ingress,
+    )
+    for f in flows:
+        fab.add_flow(*f)
     return fab
 
 
@@ -61,7 +60,21 @@ class TestWaterfillKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_fabric_reference_paths(self, seed, n_flows):
-        flows, egress, ingress = _random_instance(seed, n_flows)
+        self._check(*_random_instance(seed, n_flows))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_flows=st.integers(min_value=64, max_value=500),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fabric_at_wide_shuffle_sizes(self, seed, n_flows, tied):
+        # Hundreds of flows over 64 nodes: the flow counts a 64-node
+        # all-to-all shuffle puts in flight.
+        self._check(*_random_instance(seed, n_flows, n_nodes=64, tied=tied))
+
+    @staticmethod
+    def _check(flows, egress, ingress):
         # Run the kernel source directly on the same inputs.
         n = len(flows)
         src = np.array([f[0] for f in flows], dtype=np.intp)
@@ -70,11 +83,14 @@ class TestWaterfillKernel:
         _kernels.waterfill_py(
             src, dst, np.array(egress), np.array(ingress), rate
         )
-        # Both fabric paths (scalar reference and vectorized) must
-        # produce the exact same assignment.
-        for cutoff in (10**9, 0):
-            fab = _fabric_for(flows, egress, ingress, cutoff)
-            assert fab._rate[:n].tolist() == rate.tolist(), cutoff
+        fab = _fabric_for(flows, egress, ingress)
+        fab._compute_rates_scalar(n)
+        assert fab._rate[:n].tolist() == rate.tolist()
+        # The public entry point (the compiled kernel on the jit leg)
+        # lands on the same assignment.
+        fab._rate[:n] = 0.0
+        fab.compute_rates()
+        assert fab._rate[:n].tolist() == rate.tolist()
 
     def test_exhausted_resources_freeze_at_zero(self):
         # Three flows out of node 0 with zero egress: all frozen at 0.
