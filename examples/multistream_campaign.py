@@ -16,8 +16,9 @@ Two entry points are shown:
 
 1. the raw runner — build ``StreamTask``s, call ``run_streams``;
 2. the campaign form — ``ScenarioCampaign(configs,
-   executor=batch_executor())`` runs a whole cached scenario matrix
-   through the same machinery (chained cells fall back to serial).
+   executor=batch_executor())`` (both from ``repro.workload``) runs a
+   whole cached matrix of any workload's cells through the same
+   lockstep driver (chained cells fall back to serial).
 
 Run with:  python examples/multistream_campaign.py
 """
@@ -29,13 +30,10 @@ import numpy as np
 from repro.bench.hotpath import _MS_BUCKET
 from repro.netmodel import TokenBucketModel
 from repro.scenarios.generate import job_stream, poisson_arrivals
-from repro.scenarios.orchestrate import (
-    ScenarioCampaign,
-    ScenarioConfig,
-    batch_executor,
-)
+from repro.scenarios import ScenarioConfig
 from repro.simulator import Cluster, NodeSpec, SparkEngine
 from repro.simulator.multistream import StreamTask, run_streams
+from repro.workload import ScenarioCampaign, batch_executor
 
 N_CELLS = 16
 

@@ -9,17 +9,20 @@ HPC-cloud link incarnations, once on a constant-rate "fixed" fabric at
 the same class-median capacity — and gates both runs with the same
 p99 SLO.  Same mean bandwidth, same arrivals, same compute noise: only
 the variability differs, and only the variable fabric fails the SLO.
+Both legs run as one two-cell campaign through the batched driver —
+the same pipeline a whole provider x arrival sweep uses.
 
 Run with:  python examples/serving_slo.py
 """
 
-from repro.serving import ServingConfig, run_serving
+from repro.serving import ServingConfig
+from repro.workload import ScenarioCampaign, batch_executor
 
 SEED = 1
 
 
-def serve_on(provider: str, instance: str):
-    config = ServingConfig(
+def leg(provider: str, instance: str) -> ServingConfig:
+    return ServingConfig(
         provider_name=provider,
         instance_name=instance,
         n_nodes=4,
@@ -31,7 +34,6 @@ def serve_on(provider: str, instance: str):
         slo_window_s=10.0,
         seed=SEED,
     )
-    return config, run_serving(config)
 
 
 def main() -> None:
@@ -42,10 +44,15 @@ def main() -> None:
         ("variable", "hpccloud", "hpccloud-8core"),
         ("fixed-rate", "fixed", "fixed-9gbps"),
     ]
+    configs = {label: leg(provider, instance)
+               for label, provider, instance in legs}
+    outcome = ScenarioCampaign(
+        list(configs.values()), executor=batch_executor()
+    ).run()
     reports = {}
     for label, provider, instance in legs:
-        config, result = serve_on(provider, instance)
-        reports[label] = result
+        config = configs[label]
+        result = reports[label] = outcome.results[config.serving_id]
         lat = result.latency
         print(f"[{label}] {provider}/{instance}  cell {config.serving_id}")
         print(f"  {result.n_completed}/{result.n_requests} requests in "

@@ -351,11 +351,8 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import (
-        SERVING_DEFAULT_INSTANCES,
-        ServingConfig,
-        run_serving,
-    )
+    from repro.serving import ServingConfig, run_serving
+    from repro.workload import DEFAULT_INSTANCES
 
     if args.fast:
         n_nodes = 4 if args.nodes is None else args.nodes
@@ -367,7 +364,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window_s = 30.0 if args.window is None else args.window
     instance = args.instance
     if instance is None:
-        instance = SERVING_DEFAULT_INSTANCES.get(args.provider)
+        instance = DEFAULT_INSTANCES.get(args.provider)
         if instance is None:
             print(
                 f"error: no default instance for provider "
@@ -466,21 +463,23 @@ def _emit_shard_plan(campaign, n_cells: int, args, store, label: str) -> None:
     print(f"  python -m repro merge {stores} --store {merged}")
 
 
-def _cmd_scenario_serving(args: argparse.Namespace) -> int:
-    """The ``--workload serving`` leg of the scenario subcommand."""
-    from repro.measurement.repository import (
-        RepositoryCorruptionError,
-        TraceRepository,
-    )
-    from repro.serving import ServingCampaign, serving_matrix
+def _scenario_configs(args: argparse.Namespace) -> tuple[str, list]:
+    """The sweep label and cell configs the ``scenario`` args select."""
+    workloads = tuple(args.workloads.split(","))
+    if "serving" in workloads:
+        if set(workloads) != {"serving"}:
+            raise ValueError(
+                "--workload serving is its own sweep and cannot "
+                "mix with DAG workloads in one matrix; run two campaigns "
+                "into the same --store instead"
+            )
+        from repro.serving import serving_matrix
 
-    if args.fast:
-        n_nodes, duration_s, window_s = 4, 30.0, 10.0
-    else:
-        n_nodes, duration_s, window_s = 8, 120.0, 30.0
-    store = args.store or args.repo
-    try:
-        configs = serving_matrix(
+        if args.fast:
+            n_nodes, duration_s, window_s = 4, 30.0, 10.0
+        else:
+            n_nodes, duration_s, window_s = 8, 120.0, 30.0
+        return "serving sweep", serving_matrix(
             providers=tuple(args.providers.split(",")),
             arrivals=tuple(args.arrivals.split(",")),
             rates_rps=tuple(float(r) for r in args.rates.split(",")),
@@ -492,31 +491,24 @@ def _cmd_scenario_serving(args: argparse.Namespace) -> int:
             seed=args.seed,
             chain_length=args.chain,
         )
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        repository = TraceRepository(store) if store else None
-        campaign = ServingCampaign(
-            configs, repository=repository, workers=args.workers
-        )
-        if args.shards is not None:
-            _emit_shard_plan(
-                campaign, len(configs), args, store, "serving sweep"
-            )
-            return 0
-        results = campaign.run()
-    except (ValueError, RepositoryCorruptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"== serving sweep: {len(configs)} cells ==")
-    _print_rows([results[c.serving_id].aggregate_row() for c in configs])
-    cached = sum(1 for r in results.values() if r.cached)
-    print(
-        f"  computed={len(results) - cached} cached={cached} "
-        f"workers={args.workers}"
+    from repro.scenarios import scenario_matrix
+
+    if args.fast:
+        n_jobs, n_nodes, data_scale = 3, 4, 0.05
+    else:
+        n_jobs, n_nodes, data_scale = 8, 12, 1.0
+    return "scenario sweep", scenario_matrix(
+        providers=tuple(args.providers.split(",")),
+        arrival_rates=tuple(float(r) for r in args.arrival_rates.split(",")),
+        schedulers=tuple(args.schedulers.split(",")),
+        workloads=workloads,
+        n_jobs=n_jobs,
+        n_nodes=n_nodes,
+        data_scale=data_scale,
+        seed=args.seed,
+        deadline_slack=args.deadline_slack,
+        chain_length=args.chain,
     )
-    return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -524,37 +516,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         RepositoryCorruptionError,
         TraceRepository,
     )
-    from repro.scenarios import ScenarioCampaign, scenario_matrix
+    from repro.workload import ScenarioCampaign
 
-    workloads = tuple(args.workloads.split(","))
-    if "serving" in workloads:
-        if set(workloads) != {"serving"}:
-            print(
-                "error: --workload serving is its own sweep and cannot "
-                "mix with DAG workloads in one matrix; run two campaigns "
-                "into the same --store instead",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_scenario_serving(args)
-    if args.fast:
-        n_jobs, n_nodes, data_scale = 3, 4, 0.05
-    else:
-        n_jobs, n_nodes, data_scale = 8, 12, 1.0
     store = args.store or args.repo
     try:
-        configs = scenario_matrix(
-            providers=tuple(args.providers.split(",")),
-            arrival_rates=tuple(float(r) for r in args.arrival_rates.split(",")),
-            schedulers=tuple(args.schedulers.split(",")),
-            workloads=workloads,
-            n_jobs=n_jobs,
-            n_nodes=n_nodes,
-            data_scale=data_scale,
-            seed=args.seed,
-            deadline_slack=args.deadline_slack,
-            chain_length=args.chain,
-        )
+        label, configs = _scenario_configs(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -564,15 +530,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             configs, repository=repository, workers=args.workers
         )
         if args.shards is not None:
-            _emit_shard_plan(
-                campaign, len(configs), args, store, "scenario sweep"
-            )
+            _emit_shard_plan(campaign, len(configs), args, store, label)
             return 0
         outcome = campaign.run()
     except (ValueError, RepositoryCorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"== scenario sweep: {len(configs)} cells ==")
+    print(f"== {label}: {len(configs)} cells ==")
     _print_rows(outcome.aggregate_rows())
     print(
         f"  computed={len(outcome.computed_ids)} "

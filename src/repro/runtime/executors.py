@@ -216,14 +216,15 @@ class BatchExecutor:
     The opt-in single-process alternative to :class:`SerialExecutor`
     for campaign matrices whose cells are small simulations: instead of
     ``cell.run()`` one cell at a time, independent cells go to
-    ``batch_runner(payloads, upstreams)`` in groups of ``batch_size``,
+    ``batch_runner(cells, upstreams)`` in groups of ``batch_size``,
     which advances them together (see
     :mod:`repro.simulator.multistream`) and returns one result per
-    payload — *bit-identical* to running the cells serially, just
+    cell — *bit-identical* to running the cells serially, just
     cheaper, because per-step numpy dispatch amortizes across the
-    batch.  The scenario layer's runner is
-    ``repro.scenarios.orchestrate:run_scenario_payloads_batched``
-    (see :func:`repro.scenarios.orchestrate.batch_executor`).
+    batch.  The workload layer's runner is
+    :func:`repro.workload.run_cells_batched` (see
+    :func:`repro.workload.batch_executor`), which serves every
+    workload's cells.
 
     Warm-fabric chains cannot run lockstep (a successor needs its
     predecessor's *final* fabric), so multi-cell chain components fall
@@ -297,9 +298,7 @@ class BatchExecutor:
                         "available as a cached upstream result"
                     )
             t0 = time.perf_counter()
-            batch_results = self.batch_runner(
-                [cell.payload for cell in batch], upstreams
-            )
+            batch_results = self.batch_runner(batch, upstreams)
             wall = time.perf_counter() - t0
             if len(batch_results) != len(batch):
                 raise ValueError(

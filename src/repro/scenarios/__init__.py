@@ -8,12 +8,17 @@ of replaying them:
 
 * :mod:`repro.scenarios.generate` — seeded random DAG jobs,
   TPC-H-like query templates, and Poisson/burst arrival processes;
-* :mod:`repro.scenarios.orchestrate` — content-hashed scenario cells
-  executed through the :mod:`repro.runtime` layer (serial, chunked
-  process pool, or per-machine shard manifests via ``repro worker`` /
-  ``repro merge``), cached in a
-  :class:`~repro.measurement.repository.TraceRepository`, and
-  aggregated into CoV/CONFIRM sweep tables.
+* :mod:`repro.scenarios.orchestrate` — the DAG-stream workload:
+  content-hashed scenario cells (``scn-…``) with CoV/CONFIRM sweep
+  rows.
+
+Scenario cells, and the request-serving cells of
+:mod:`repro.serving.scenario`, run through the one workload pipeline in
+:mod:`repro.workload`: matrices, warm-fabric chains, the batched
+driver, and :class:`ScenarioCampaign`, which executes a matrix through
+the :mod:`repro.runtime` layer (serial, process pool, or per-machine
+shard manifests via ``repro worker`` / ``repro merge``) into a
+:class:`~repro.measurement.repository.TraceRepository`.
 
 Quickstart::
 
@@ -51,31 +56,25 @@ from repro.scenarios.generate import (
     tpch_like_job,
 )
 from repro.scenarios.orchestrate import (
-    DEFAULT_INSTANCES,
     SCENARIO_CODEC,
-    CampaignOutcome,
-    ScenarioCampaign,
     ScenarioConfig,
     ScenarioResult,
-    chain_scenarios,
     run_scenario,
     run_scenario_payload,
-    scenario_cells,
     scenario_matrix,
 )
 
 # Service-scenario generation lives in repro.serving (it builds on the
 # event core, not the DAG engine) but is part of the scenario surface:
-# serving cells are content-hashed, chain- and batch-executor
-# compatible, and mix with DAG cells in one campaign directory.
+# serving cells run through the same campaign pipeline and share one
+# campaign directory with DAG cells.
 from repro.serving.scenario import (
     SERVING_CODEC,
-    ServingCampaign,
     ServingConfig,
     run_serving,
-    serving_cells,
     serving_matrix,
 )
+from repro.workload import DEFAULT_INSTANCES, CampaignOutcome, ScenarioCampaign
 
 __all__ = [
     "RandomDagConfig",
@@ -94,16 +93,12 @@ __all__ = [
     "CampaignOutcome",
     "run_scenario",
     "run_scenario_payload",
-    "scenario_cells",
-    "chain_scenarios",
     "scenario_matrix",
     "synthesize_deadlines",
     "SCENARIO_CODEC",
     "DEFAULT_INSTANCES",
     "ServingConfig",
-    "ServingCampaign",
     "run_serving",
-    "serving_cells",
     "serving_matrix",
     "SERVING_CODEC",
 ]

@@ -1,52 +1,37 @@
-"""Campaign orchestration: scenario matrices, caching, parallelism.
+"""DAG-stream scenario cells: the job-stream workload of the pipeline.
 
-KheOps-style campaign economics: a variability study is only as broad
-as the number of (provider, instance, arrival pattern, scheduler)
-cells it can afford to run, so the orchestrator makes cells cheap —
+One :class:`ScenarioConfig` fully determines one multi-tenant job
+stream on a shaped cloud fabric — provider incarnations, the arrival
+process, the job mix, deadlines, and the engine's compute noise all
+derive from its seed — and hashes to a stable ``scn-…`` id.  This
+module supplies only what is particular to DAG streams: the config's
+fields and validation, :func:`prepare_scenario` (config -> job-stream
+event core), :func:`finish_scenario` (outcome ->
+:class:`ScenarioResult` with its CoV/CONFIRM ``aggregate_row``), the
+store document body, and the :func:`scenario_matrix` axes.
 
-* every :class:`ScenarioConfig` is content-hashed into a stable
-  ``scenario_id``, so a :class:`~repro.measurement.repository.TraceRepository`
-  can skip cells that already ran (re-running a sweep after adding one
-  arrival rate only executes the new column);
-* pending cells run through a pluggable :mod:`repro.runtime` executor —
-  serial, a chunked ``multiprocessing`` pool, or per-machine shard
-  manifests (``python -m repro worker``) — and each cell is a pure
-  function of its config, so the execution strategy never changes the
-  results, only the wall clock;
-* per-cell results aggregate through :mod:`repro.stats` into CoV and
-  CONFIRM-widening verdicts, the same statistics the paper reports.
-
-:class:`ScenarioCampaign` is a thin adapter over
-:class:`repro.runtime.campaign.CampaignRunner`: it maps configs to
-:class:`~repro.runtime.cell.Cell`\\ s (keyed by ``scenario_id``, so
-pre-runtime repositories stay warm) and decodes stored artifacts back
-into :class:`ScenarioResult`\\ s.
+Everything else — content ids, warm-fabric chains, matrices, batched
+execution, the codec's fabric document, and the
+:class:`~repro.workload.ScenarioCampaign` that runs a matrix through
+the :mod:`repro.runtime` executors into a
+:class:`~repro.measurement.repository.TraceRepository` — is the shared
+workload pipeline in :mod:`repro.workload`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from repro.cloud.providers import default_providers
-from repro.netmodel.state import model_from_state, model_state_dict
-from repro.simulator.fabric import Fabric
 from repro.measurement.campaign import CampaignConfig, CampaignResult
 from repro.measurement.repository import (
-    TraceRepository,
     campaign_from_documents,
     campaign_to_documents,
-    run_wrapping_corruption,
 )
-from repro.runtime.campaign import ArtifactCodec, CampaignRunner
+from repro.runtime.campaign import ArtifactCodec
 from repro.runtime.cell import Cell
-from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
-from repro.runtime.worker import write_shard_manifests
 from repro.scenarios.generate import (
     RandomDagConfig,
     WorkloadMix,
@@ -55,11 +40,22 @@ from repro.scenarios.generate import (
     poisson_arrivals,
     synthesize_deadlines,
 )
-from repro.simulator.cluster import Cluster, NodeSpec
-from repro.simulator.engine import SCHEDULERS, SparkEngine
+from repro.simulator.cluster import NodeSpec
+from repro.simulator.engine import SCHEDULERS, SparkEngine, _StreamState
 from repro.stats.confirm import confirm_curve
 from repro.stats.cov import coefficient_of_variation
 from repro.trace import BandwidthTrace
+from repro.workload import (
+    CampaignOutcome,
+    CellConfig,
+    Prepared,
+    ScenarioCampaign,
+    cell_fabric,
+    decode_fabric,
+    encode_fabric,
+    fabric_snapshot,
+    matrix,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -67,27 +63,14 @@ __all__ = [
     "ScenarioCampaign",
     "CampaignOutcome",
     "run_scenario",
-    "run_scenarios_batched",
     "prepare_scenario",
     "finish_scenario",
     "run_scenario_payload",
-    "run_scenario_payloads_batched",
-    "batch_executor",
     "scenario_matrix",
-    "chain_scenarios",
-    "scenario_cells",
     "encode_scenario_result",
     "decode_scenario_result",
     "SCENARIO_CODEC",
-    "DEFAULT_INSTANCES",
 ]
-
-#: Default instance type per provider, matching the Table 3 catalog.
-DEFAULT_INSTANCES: dict[str, str] = {
-    "amazon": "c5.xlarge",
-    "google": "gce-4core",
-    "hpccloud": "hpccloud-8core",
-}
 
 #: Workload keyword -> generator mix.
 _MIXES: dict[str, WorkloadMix] = {
@@ -100,10 +83,27 @@ _MIXES: dict[str, WorkloadMix] = {
 #: Arrival-process keywords.
 _ARRIVALS: tuple[str, ...] = ("poisson", "burst")
 
+#: The scenario layer's store codec, referenced by import path so shard
+#: manifests can name it across machines.
+SCENARIO_CODEC = ArtifactCodec(
+    encode_ref="repro.scenarios.orchestrate:encode_scenario_result",
+    decode_ref="repro.scenarios.orchestrate:decode_scenario_result",
+)
+
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(CellConfig):
     """One cell of a scenario matrix, fully determining its result."""
+
+    id_prefix = "scn"
+    # Fields that did not exist when early repositories were populated
+    # hash only away from their defaults, so those caches stay warm.
+    id_defaults = {"deadline_slack": 0.0, "predecessor": None}
+    noun = "scenario"
+    run_ref = "repro.scenarios.orchestrate:run_scenario_payload"
+    prepare_ref = "repro.scenarios.orchestrate:prepare_scenario"
+    finish_ref = "repro.scenarios.orchestrate:finish_scenario"
+    codec = SCENARIO_CODEC
 
     provider_name: str = "amazon"
     instance_name: str = "c5.xlarge"
@@ -126,16 +126,10 @@ class ScenarioConfig:
     predecessor: str | None = None
 
     def __post_init__(self) -> None:
-        # Normalize numeric fields so equal configs hash equally:
-        # json.dumps renders 1 and 1.0 differently, and the scenario_id
-        # contract is "same fields => same id".
-        object.__setattr__(
-            self, "arrival_rate_per_min", float(self.arrival_rate_per_min)
+        self._coerce(
+            float, ("arrival_rate_per_min", "data_scale", "deadline_slack")
         )
-        object.__setattr__(self, "data_scale", float(self.data_scale))
-        object.__setattr__(self, "deadline_slack", float(self.deadline_slack))
-        for name in ("n_nodes", "slots", "n_jobs", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        self._coerce(int, ("n_nodes", "slots", "n_jobs", "seed"))
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
@@ -156,31 +150,12 @@ class ScenarioConfig:
             raise ValueError("rates and scales must be positive")
         if self.deadline_slack < 0:
             raise ValueError("deadline slack cannot be negative")
-        if self.predecessor is not None and not self.predecessor.startswith(
-            "scn-"
-        ):
-            raise ValueError(
-                f"predecessor must be a scenario id, got {self.predecessor!r}"
-            )
+        self._check_predecessor()
 
     @property
     def scenario_id(self) -> str:
-        """Content hash of the config: the repository cache key.
-
-        Two configs share an id exactly when every field matches, so a
-        stored result can stand in for re-execution.  Fields still at
-        their defaults that did not exist when a repository was
-        populated (``deadline_slack``, ``predecessor``) are dropped
-        from the hash, so pre-existing caches stay warm.
-        """
-        payload_dict = asdict(self)
-        if self.deadline_slack == 0.0:
-            payload_dict.pop("deadline_slack")
-        if self.predecessor is None:
-            payload_dict.pop("predecessor")
-        payload = json.dumps(payload_dict, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return f"scn-{digest}"
+        """The ``scn-…`` content id (:attr:`~repro.workload.CellConfig.key`)."""
+        return self.key
 
 
 @dataclass
@@ -327,102 +302,28 @@ def run_scenario(
     draw from a *separate* generator derived from the seed, so turning
     deadline synthesis on never perturbs the workload stream itself.
 
-    The fabric is built once, up front: a provider hands out one model
-    class per instance type (token buckets for EC2 incarnations,
-    per-core QoS for GCE, ...), so homogeneous cells get the vectorized
-    shaper fleet (:func:`repro.netmodel.fleet.build_fleet`) and
-    anything exotic falls back to the scalar adapter — either way the
-    cell's result is bit-identical.
-
     When ``config.predecessor`` names another cell, ``upstream`` must
     be that cell's result: the fabric is rebuilt from its persisted
-    per-node shaper snapshots (same incarnations, same budgets, same
-    RNG positions — back-to-back tenants on a warm fabric, the
-    Figure 19 carry-over at campaign scale) instead of drawing fresh
-    VMs.
+    per-node shaper snapshots instead of drawing fresh VMs (see
+    :func:`repro.workload.cell_fabric`).
 
-    ``recorder`` forwards to :meth:`SparkEngine.run_stream
-    <repro.simulator.engine.SparkEngine.run_stream>` — an
-    :class:`~repro.obs.ObsRecorder` observes the cell's stream without
-    changing its result.
+    ``recorder`` attaches an :class:`~repro.obs.ObsRecorder` that
+    observes the cell's stream without changing its result.
     """
-    prepared = prepare_scenario(config, upstream=upstream)
-    outcome = prepared.engine.run_stream(
-        prepared.stream,
-        scheduler=config.scheduler,
-        fabric=prepared.fabric,
-        recorder=recorder,
-    )
-    return finish_scenario(prepared, outcome)
-
-
-@dataclass
-class _PreparedScenario:
-    """A cell built and ready to stream: the prepare/finish seam.
-
-    :func:`run_scenario` is prepare → ``engine.run_stream`` → finish;
-    the batched path (:func:`run_scenarios_batched`) swaps the middle
-    for one :func:`repro.simulator.multistream.run_streams` call over
-    many cells.  Everything up to and including engine construction —
-    provider incarnations, arrival draws, the job stream, deadline
-    synthesis — happens in prepare, in the exact serial RNG order, so
-    the two paths are bit-identical per cell.
-    """
-
-    config: ScenarioConfig
-    engine: SparkEngine
-    stream: list
-    fabric: Fabric
+    prepared = prepare_scenario(config, upstream=upstream, recorder=recorder)
+    return finish_scenario(prepared, prepared.state.execute())
 
 
 def prepare_scenario(
-    config: ScenarioConfig, upstream: "ScenarioResult | None" = None
-) -> _PreparedScenario:
-    """Build one cell's engine, workload stream, and fabric."""
+    config: ScenarioConfig,
+    upstream: "ScenarioResult | None" = None,
+    recorder=None,
+) -> Prepared:
+    """Build one cell's fabric, workload stream, and stream state."""
     rng = np.random.default_rng(config.seed)
-    if config.predecessor is not None:
-        if upstream is None:
-            raise ValueError(
-                f"cell {config.scenario_id} chains after "
-                f"{config.predecessor} but no upstream result was supplied"
-            )
-        if upstream.fabric_state is None:
-            raise ValueError(
-                f"predecessor {config.predecessor} carries no fabric "
-                "state (stored by an older version?); recompute it"
-            )
-        if (
-            upstream.config.provider_name != config.provider_name
-            or upstream.config.instance_name != config.instance_name
-        ):
-            # The inherited models ARE the predecessor's provider
-            # incarnations; letting a cell labeled for another provider
-            # run on them would poison rows and cache keys alike.
-            raise ValueError(
-                f"chained cell {config.scenario_id} targets "
-                f"{config.provider_name}/{config.instance_name} but its "
-                f"predecessor ran {upstream.config.provider_name}/"
-                f"{upstream.config.instance_name}; a warm-fabric chain "
-                "stays on one provider incarnation"
-            )
-        if len(upstream.fabric_state) != config.n_nodes:
-            raise ValueError(
-                f"predecessor fabric has {len(upstream.fabric_state)} "
-                f"nodes, this cell needs {config.n_nodes}"
-            )
-        models = [model_from_state(s) for s in upstream.fabric_state]
-    else:
-        provider = default_providers()[config.provider_name]
-        models = [
-            provider.link_model(config.instance_name, rng)
-            for _ in range(config.n_nodes)
-        ]
-    cluster = Cluster(
-        n_nodes=config.n_nodes,
-        node_spec=NodeSpec(slots=config.slots),
-        link_model_factory=lambda node: models[node],
+    engine, fabric = cell_fabric(
+        config, upstream, rng, NodeSpec(slots=config.slots)
     )
-    fabric = cluster.build_fabric()
     if config.arrival == "burst":
         per_burst = max(config.n_jobs // 2, 1)
         n_bursts = -(-config.n_jobs // per_burst)  # ceil
@@ -454,13 +355,15 @@ def prepare_scenario(
             slots=config.slots,
             mean_slack=config.deadline_slack,
         )
-    engine = SparkEngine(cluster, rng=rng)
-    return _PreparedScenario(
-        config=config, engine=engine, stream=list(stream), fabric=fabric
+    stream = list(stream)
+    SparkEngine.validate_stream(stream, config.scheduler)
+    state = _StreamState(
+        engine, stream, fabric, scheduler=config.scheduler, recorder=recorder
     )
+    return Prepared(config=config, state=state)
 
 
-def finish_scenario(prepared: _PreparedScenario, outcome) -> ScenarioResult:
+def finish_scenario(prepared: Prepared, outcome) -> ScenarioResult:
     """Assemble a :class:`ScenarioResult` from a finished stream."""
     config = prepared.config
     deadlines = None
@@ -476,84 +379,9 @@ def finish_scenario(prepared: _PreparedScenario, outcome) -> ScenarioResult:
         job_names=tuple(r.job_name for r in outcome.job_results),
         deadlines=deadlines,
         slowdowns=outcome.slowdowns(),
-        fabric_state=[
-            model_state_dict(m) for m in prepared.fabric.egress_models
-        ],
+        fabric_state=fabric_snapshot(prepared.state.fabric),
         n_steps=outcome.n_steps,
     )
-
-
-def run_scenarios_batched(
-    configs: "list[ScenarioConfig]",
-    upstreams: "list[ScenarioResult | None] | None" = None,
-) -> "list[ScenarioResult]":
-    """Run independent cells through the batched multistream runner.
-
-    Bit-identical to ``[run_scenario(c, u) for c, u in ...]`` — each
-    cell's RNG draws, event order, and floats are unchanged — but all
-    cells' shaper-fleet work batches through one concatenated
-    super-fleet per fleet class (cells are grouped automatically, so
-    mixed-provider matrices work; each group runs as one lockstep
-    batch).  Cells must be independent of *each other* — chained cells
-    may appear only with their upstream result supplied, like
-    :func:`run_scenario`.
-    """
-    from repro.simulator.multistream import StreamTask, run_streams
-
-    if upstreams is None:
-        upstreams = [None] * len(configs)
-    if len(upstreams) != len(configs):
-        raise ValueError("one upstream entry (or None) per config required")
-    prepared = [
-        prepare_scenario(config, upstream=upstream)
-        for config, upstream in zip(configs, upstreams)
-    ]
-    # Group by concrete fleet class: the super-fleet concatenation
-    # requires homogeneity, and grouping preserves per-cell results
-    # exactly (cells are independent).
-    groups: dict[type, list[int]] = {}
-    for index, prep in enumerate(prepared):
-        groups.setdefault(type(prep.fabric.fleet), []).append(index)
-    results: list[ScenarioResult | None] = [None] * len(configs)
-    for indices in groups.values():
-        outcomes = run_streams(
-            [
-                StreamTask(
-                    engine=prepared[i].engine,
-                    arrivals=prepared[i].stream,
-                    scheduler=prepared[i].config.scheduler,
-                    fabric=prepared[i].fabric,
-                )
-                for i in indices
-            ]
-        )
-        for i, outcome in zip(indices, outcomes):
-            results[i] = finish_scenario(prepared[i], outcome)
-    return results  # type: ignore[return-value]
-
-
-def chain_scenarios(base: ScenarioConfig, length: int) -> list[ScenarioConfig]:
-    """A warm-fabric chain of ``length`` cells rooted at ``base``.
-
-    Link ``i`` names link ``i-1`` as its predecessor and derives a
-    distinct workload seed, so each link is a *different* tenant
-    arriving on the fabric the previous tenant left warm — shaper
-    budgets, stream ages, and RNG positions all carry over.  Chain ids
-    are stable: each link's ``scenario_id`` covers its predecessor's,
-    so extending a chain never invalidates its existing prefix.
-    """
-    if length < 1:
-        raise ValueError("a chain needs at least one cell")
-    configs = [base]
-    for i in range(1, length):
-        configs.append(
-            replace(
-                base,
-                seed=base.seed + i,
-                predecessor=configs[-1].scenario_id,
-            )
-        )
-    return configs
 
 
 def scenario_matrix(
@@ -570,59 +398,35 @@ def scenario_matrix(
     deadline_slack: float = 0.0,
     chain_length: int = 1,
 ) -> list[ScenarioConfig]:
-    """Cross product of the requested axes, one config per cell.
+    """Provider x rate x scheduler x workload cells, one config per cell.
 
-    Each cell's seed derives from the base ``seed`` and the cell's own
-    axis values (not its position in the cross product), so cells are
-    statistically independent yet *stable*: extending an axis later
-    leaves every pre-existing cell's seed — and therefore its
-    ``scenario_id`` cache key — unchanged.
-
-    ``deadline_slack`` > 0 synthesizes per-job deadlines in every cell
-    (reported as miss rates; ordering-relevant under the "edf"
-    scheduler), and ``chain_length`` > 1 expands every cell into a
-    warm-fabric chain (see :func:`chain_scenarios`).
+    Seeds and cache keys follow :func:`repro.workload.matrix`: stable
+    under axis extension.  ``deadline_slack`` > 0 synthesizes per-job
+    deadlines in every cell (reported as miss rates; ordering-relevant
+    under the "edf" scheduler), and ``chain_length`` > 1 expands every
+    cell into a warm-fabric chain (see :func:`repro.workload.chain`).
     """
-    if chain_length < 1:
-        raise ValueError("chain_length must be >= 1")
-    instances = {**DEFAULT_INSTANCES, **(instances or {})}
-    configs = []
-    for provider in providers:
-        for rate in arrival_rates:
-            for scheduler in schedulers:
-                for workload in workloads:
-                    cell_key = json.dumps(
-                        [
-                            int(seed),
-                            provider,
-                            instances[provider],
-                            float(rate),
-                            scheduler,
-                            workload,
-                        ]
-                    )
-                    cell_seed = seed + int.from_bytes(
-                        hashlib.sha256(cell_key.encode()).digest()[:4], "big"
-                    )
-                    base = ScenarioConfig(
-                        provider_name=provider,
-                        instance_name=instances[provider],
-                        n_nodes=n_nodes,
-                        slots=slots,
-                        n_jobs=n_jobs,
-                        arrival_rate_per_min=rate,
-                        scheduler=scheduler,
-                        workload=workload,
-                        data_scale=data_scale,
-                        seed=cell_seed,
-                        deadline_slack=deadline_slack,
-                    )
-                    configs.extend(chain_scenarios(base, chain_length))
-    return configs
+    return matrix(
+        ScenarioConfig,
+        providers,
+        [
+            ("arrival_rate_per_min", [float(rate) for rate in arrival_rates]),
+            ("scheduler", schedulers),
+            ("workload", workloads),
+        ],
+        seed=seed,
+        instances=instances,
+        chain_length=chain_length,
+        n_jobs=n_jobs,
+        n_nodes=n_nodes,
+        slots=slots,
+        data_scale=data_scale,
+        deadline_slack=deadline_slack,
+    )
 
 
 # ----------------------------------------------------------------------
-# runtime plumbing: cells and the store codec
+# runtime plumbing: the cell function and the store codec
 # ----------------------------------------------------------------------
 def run_scenario_payload(
     payload: Mapping, upstream: ScenarioResult | None = None
@@ -643,189 +447,18 @@ def run_scenario_payload(
     return run_scenario(config, upstream=upstream)
 
 
-def run_scenario_payloads_batched(
-    payloads: "list[Mapping]", upstreams: "list[ScenarioResult | None]"
-) -> "list[ScenarioResult]":
-    """Batch-runner hook for :class:`repro.runtime.executors.BatchExecutor`.
-
-    The batched counterpart of :func:`run_scenario_payload`: decodes
-    each cell payload and runs the whole group through the multistream
-    runner, returning results in payload order — bit-identical to the
-    per-cell path.
-    """
-    configs = [ScenarioConfig(**payload) for payload in payloads]
-    return run_scenarios_batched(configs, upstreams)
-
-
-def batch_executor(batch_size: int = 32):
-    """A :class:`~repro.runtime.executors.BatchExecutor` wired for scenarios.
-
-    Pass to :class:`ScenarioCampaign` (or a raw
-    :class:`~repro.runtime.campaign.CampaignRunner`) to run a matrix's
-    independent cells through the batched multistream engine::
-
-        ScenarioCampaign(configs, executor=batch_executor()).run()
-
-    Results — rows, checksums, cache keys — are bit-identical to the
-    serial default; only the wall clock changes.
-    """
-    from repro.runtime.executors import BatchExecutor
-
-    return BatchExecutor(run_scenario_payloads_batched, batch_size=batch_size)
-
-
 def encode_scenario_result(result: ScenarioResult) -> tuple[dict, dict]:
-    """Codec encoder: a scenario cell as trace-repository documents.
-
-    The per-node fabric snapshot travels as an extra ``fabric``
-    document (not a trace), so chained successors can reload it and
-    legacy readers that only walk ``patterns`` are unaffected.
-    """
-    documents, meta = campaign_to_documents(result.to_campaign_result())
-    if result.fabric_state is not None:
-        documents["fabric"] = {"models": result.fabric_state}
-    return documents, meta
+    """Codec encoder: a scenario cell as trace-repository documents
+    (legacy readers that only walk ``patterns`` ignore the fabric)."""
+    return encode_fabric(
+        result, *campaign_to_documents(result.to_campaign_result())
+    )
 
 
 def decode_scenario_result(cell: Cell, documents: Mapping) -> ScenarioResult:
     """Codec decoder: rebuild a :class:`ScenarioResult` from the store."""
-    config = ScenarioConfig(**cell.payload)
     result = ScenarioResult.from_campaign_result(
-        config, campaign_from_documents(documents)
+        ScenarioConfig(**cell.payload), campaign_from_documents(documents)
     )
-    fabric_doc = documents.get("fabric")
-    if fabric_doc is not None:
-        result.fabric_state = list(fabric_doc["models"])
+    result.fabric_state = decode_fabric(documents)
     return result
-
-
-#: The scenario layer's store codec, referenced by import path so shard
-#: manifests can name it across machines.
-SCENARIO_CODEC = ArtifactCodec(
-    encode_ref="repro.scenarios.orchestrate:encode_scenario_result",
-    decode_ref="repro.scenarios.orchestrate:decode_scenario_result",
-)
-
-
-def scenario_cells(configs: list[ScenarioConfig]) -> list[Cell]:
-    """Map scenario configs to runtime cells.
-
-    Cells keep ``scenario_id`` as their key, so repositories populated
-    before the runtime refactor keep serving cache hits; a config's
-    ``predecessor`` becomes the cell's ``after`` link, which is what
-    keeps a warm-fabric chain ordered (and on one shard) under every
-    executor.
-    """
-    return [
-        Cell(
-            fn="repro.scenarios.orchestrate:run_scenario_payload",
-            payload=asdict(config),
-            key=config.scenario_id,
-            after=config.predecessor,
-        )
-        for config in configs
-    ]
-
-
-@dataclass
-class CampaignOutcome:
-    """Everything one campaign run produced, cache hits included."""
-
-    results: dict[str, ScenarioResult]
-    cached_ids: tuple[str, ...]
-    computed_ids: tuple[str, ...]
-
-    def aggregate_rows(self) -> list[dict]:
-        """Sweep-table rows, deterministically ordered by scenario id."""
-        return [
-            self.results[sid].aggregate_row() for sid in sorted(self.results)
-        ]
-
-    @property
-    def cache_hit_fraction(self) -> float:
-        total = len(self.cached_ids) + len(self.computed_ids)
-        return len(self.cached_ids) / total if total else 0.0
-
-
-class ScenarioCampaign:
-    """Runs a scenario matrix, caching cells in a trace repository.
-
-    A thin adapter over :class:`repro.runtime.campaign.CampaignRunner`:
-    cells store as they complete, so an interrupted or partially
-    failing sweep keeps its finished work, and the repository's
-    manifest writes are atomic (single coordinating writer per
-    executor; shard workers write their own stores and merge).
-
-    ``executor`` overrides the strategy derived from ``workers``
-    (serial for 1, a chunked process pool otherwise) — pass a
-    :class:`repro.runtime.executors.ShardExecutor` to split the matrix
-    into per-machine manifests, or use :meth:`shard_manifests` and the
-    ``repro worker`` / ``repro merge`` CLI directly.
-    """
-
-    def __init__(
-        self,
-        configs: list[ScenarioConfig],
-        repository: TraceRepository | None = None,
-        workers: int = 1,
-        executor=None,
-    ) -> None:
-        if not configs:
-            raise ValueError("a campaign needs at least one scenario")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        ids = [c.scenario_id for c in configs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate scenario configs in the matrix")
-        self.configs = list(configs)
-        self.repository = repository
-        self.workers = workers
-        if executor is None:
-            executor = (
-                SerialExecutor()
-                if workers == 1
-                else ProcessPoolExecutor(workers)
-            )
-        self.executor = executor
-
-    @property
-    def cells(self) -> list[Cell]:
-        """The matrix as runtime cells (keyed by ``scenario_id``)."""
-        return scenario_cells(self.configs)
-
-    def shard_manifests(
-        self, directory: str | Path, n_shards: int
-    ) -> list[Path]:
-        """Write per-machine shard manifests for this matrix.
-
-        Each manifest runs via ``python -m repro worker <manifest>
-        --store <dir>``; the resulting stores merge back with
-        ``python -m repro merge``.
-        """
-        return write_shard_manifests(
-            self.cells,
-            n_shards=n_shards,
-            directory=directory,
-            encode_ref=SCENARIO_CODEC.encode_ref,
-            decode_ref=SCENARIO_CODEC.decode_ref,
-        )
-
-    def run(self) -> CampaignOutcome:
-        """Execute pending cells (per the executor), reload cached ones.
-
-        Raises :class:`~repro.measurement.repository.RepositoryCorruptionError`
-        when a cached cell's files have gone missing behind the
-        manifest's back, exactly as the pre-runtime campaign did.
-        """
-        runner = CampaignRunner(
-            self.cells,
-            store=self.repository.artifacts if self.repository else None,
-            codec=SCENARIO_CODEC,
-            executor=self.executor,
-        )
-        outcome = run_wrapping_corruption(runner)
-        return CampaignOutcome(
-            results=dict(outcome.results),
-            cached_ids=outcome.cached_keys,
-            computed_ids=outcome.computed_keys,
-        )

@@ -24,9 +24,11 @@ cluster model, and the campaign runtime with the DAG engine:
   streaming latency telemetry;
 * :mod:`repro.serving.slo` — SLO gating: sliding-window p50/p99/p99.9
   targets, violation windows, ``repro_slo_*`` metrics;
-* :mod:`repro.serving.scenario` — content-hashed campaign cells
-  (``srv-…``), matrices, warm-fabric chains, and the store codec for
-  ``repro worker`` / ``repro merge`` sharding.
+* :mod:`repro.serving.scenario` — the serving workload of the campaign
+  pipeline: content-hashed cells (``srv-…``), the serving matrix, and
+  the store codec.  Chains, batched runs, sharding via ``repro worker``
+  / ``repro merge`` and the campaign itself are the shared
+  :mod:`repro.workload` layer, the same one DAG scenarios run through.
 
 Quickstart::
 
@@ -63,22 +65,16 @@ from repro.serving.arrivals import (
     poisson_process,
 )
 from repro.serving.scenario import (
-    FIXED_RATE_GBPS,
     SERVING_CODEC,
-    SERVING_DEFAULT_INSTANCES,
-    ServingCampaign,
     ServingCellResult,
     ServingConfig,
-    chain_serving,
     run_serving,
-    run_servings_batched,
-    serving_batch_executor,
-    serving_cells,
     serving_matrix,
 )
 from repro.serving.slo import SloPolicy, SloReport, SloViolation
 from repro.serving.state import ServingResult, ServingState, serve
 from repro.serving.topology import ServiceSpec, ServiceTopology
+from repro.workload import FIXED_RATE_GBPS
 
 __all__ = [
     "ServiceSpec",
@@ -94,14 +90,8 @@ __all__ = [
     "serve",
     "ServingConfig",
     "ServingCellResult",
-    "ServingCampaign",
     "run_serving",
-    "run_servings_batched",
-    "serving_batch_executor",
     "serving_matrix",
-    "chain_serving",
-    "serving_cells",
     "SERVING_CODEC",
-    "SERVING_DEFAULT_INSTANCES",
     "FIXED_RATE_GBPS",
 ]

@@ -1,14 +1,18 @@
-"""Serving campaign cells: content-hashed configs, codec, matrices.
+"""Serving campaign cells: the request-serving workload of the pipeline.
 
-The serving counterpart of :mod:`repro.scenarios.orchestrate`: one
-:class:`ServingConfig` fully determines one serving run (provider
+One :class:`ServingConfig` fully determines one serving run (provider
 incarnations, topology, arrival draws, compute noise — all from one
-seeded generator), hashes to a stable ``srv-…`` id, and executes as a
-:class:`~repro.runtime.cell.Cell` under every executor — serial,
-process pool, the batched multistream driver (serving states ride
+seeded generator) and hashes to a stable ``srv-…`` id.  This module
+supplies only what is particular to serving: the config's fields and
+validation, :func:`prepare_serving` (config -> serving event core),
+:func:`finish_serving` (outcome -> :class:`ServingCellResult` with its
+latency/SLO ``aggregate_row``), the ``serving`` store document, and the
+:func:`serving_matrix` axes.  Content ids, chains, matrices, batched
+execution (serving states ride
 :func:`repro.simulator.multistream.run_cores` exactly like DAG
-streams), or per-machine shard manifests via ``repro worker`` /
-``repro merge``.
+streams), the fabric document and the
+:class:`~repro.workload.ScenarioCampaign` are the shared workload
+pipeline in :mod:`repro.workload`.
 
 The experiment this layer exists for is the variability-meets-serving
 question: the pseudo-provider ``"fixed"`` gives every node a
@@ -22,25 +26,13 @@ under burst traffic.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from repro.cloud.providers import default_providers
-from repro.measurement.repository import (
-    TraceRepository,
-    run_wrapping_corruption,
-)
-from repro.netmodel.base import ConstantRateModel
-from repro.netmodel.state import model_from_state, model_state_dict
-from repro.runtime.campaign import ArtifactCodec, CampaignRunner
+from repro.runtime.campaign import ArtifactCodec
 from repro.runtime.cell import Cell
-from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
-from repro.runtime.worker import write_shard_manifests
 from repro.serving.arrivals import (
     diurnal_process,
     flash_crowd_process,
@@ -49,50 +41,50 @@ from repro.serving.arrivals import (
 from repro.serving.slo import SloPolicy, SloReport
 from repro.serving.state import ServingState
 from repro.serving.topology import ServiceTopology
-from repro.simulator.cluster import Cluster, NodeSpec
-from repro.simulator.engine import SparkEngine
+from repro.workload import (
+    CellConfig,
+    Prepared,
+    cell_fabric,
+    decode_fabric,
+    encode_fabric,
+    fabric_snapshot,
+    matrix,
+)
 
 __all__ = [
     "ServingConfig",
     "ServingCellResult",
-    "ServingCampaign",
     "run_serving",
     "prepare_serving",
     "finish_serving",
-    "run_servings_batched",
     "run_serving_payload",
-    "run_serving_payloads_batched",
-    "serving_batch_executor",
     "serving_matrix",
-    "chain_serving",
-    "serving_cells",
     "encode_serving_result",
     "decode_serving_result",
     "SERVING_CODEC",
-    "SERVING_DEFAULT_INSTANCES",
-    "FIXED_RATE_GBPS",
 ]
-
-#: Clean-fabric egress rate for the ``"fixed"`` pseudo-provider: the
-#: HPC-cloud-class median (its resampled marginals span ~7.7-10.4
-#: Gbps), so fixed-vs-hpccloud contrasts variability, not mean capacity.
-FIXED_RATE_GBPS = 9.0
-
-#: Default instance type per provider for serving matrices.
-SERVING_DEFAULT_INSTANCES: dict[str, str] = {
-    "amazon": "c5.xlarge",
-    "google": "gce-4core",
-    "hpccloud": "hpccloud-8core",
-    "fixed": "fixed-9gbps",
-}
 
 _ARRIVALS: tuple[str, ...] = ("poisson", "diurnal", "flash")
 _TOPOLOGIES: tuple[str, ...] = ("line", "fanout", "three_tier")
 
+#: The serving layer's store codec, referenced by import path so shard
+#: manifests can name it across machines.
+SERVING_CODEC = ArtifactCodec(
+    encode_ref="repro.serving.scenario:encode_serving_result",
+    decode_ref="repro.serving.scenario:decode_serving_result",
+)
+
 
 @dataclass(frozen=True)
-class ServingConfig:
+class ServingConfig(CellConfig):
     """One serving cell, fully determining its result."""
+
+    id_prefix = "srv"
+    noun = "serving"
+    run_ref = "repro.serving.scenario:run_serving_payload"
+    prepare_ref = "repro.serving.scenario:prepare_serving"
+    finish_ref = "repro.serving.scenario:finish_serving"
+    codec = SERVING_CODEC
 
     provider_name: str = "hpccloud"
     instance_name: str = "hpccloud-8core"
@@ -123,21 +115,20 @@ class ServingConfig:
     predecessor: str | None = None
 
     def __post_init__(self) -> None:
-        # Normalize numerics so equal configs hash equally (the same
-        # contract as ScenarioConfig).
-        for name in (
-            "rate_rps",
-            "duration_s",
-            "think_s",
-            "payload_scale",
-            "slo_p50_ms",
-            "slo_p99_ms",
-            "slo_p999_ms",
-            "slo_window_s",
-        ):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n_nodes", "depth", "breadth", "users", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        self._coerce(
+            float,
+            (
+                "rate_rps",
+                "duration_s",
+                "think_s",
+                "payload_scale",
+                "slo_p50_ms",
+                "slo_p99_ms",
+                "slo_p999_ms",
+                "slo_window_s",
+            ),
+        )
+        self._coerce(int, ("n_nodes", "depth", "breadth", "users", "seed"))
         if self.arrival not in _ARRIVALS:
             raise ValueError(
                 f"unknown arrival process {self.arrival!r}; "
@@ -164,22 +155,12 @@ class ServingConfig:
             raise ValueError("SLO targets cannot be negative")
         if self.slo_window_s <= 0:
             raise ValueError("slo_window_s must be positive")
-        if self.predecessor is not None and not self.predecessor.startswith(
-            "srv-"
-        ):
-            raise ValueError(
-                f"predecessor must be a serving id, got {self.predecessor!r}"
-            )
+        self._check_predecessor()
 
     @property
     def serving_id(self) -> str:
-        """Content hash of the config: the repository cache key."""
-        payload_dict = asdict(self)
-        if self.predecessor is None:
-            payload_dict.pop("predecessor")
-        payload = json.dumps(payload_dict, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return f"srv-{digest}"
+        """The ``srv-…`` content id (:attr:`~repro.workload.CellConfig.key`)."""
+        return self.key
 
     def build_topology(self) -> ServiceTopology:
         if self.topology == "line":
@@ -289,70 +270,12 @@ def _build_arrivals(config: ServingConfig, rng: np.random.Generator):
     return poisson_process(rng, config.rate_rps, config.duration_s)
 
 
-@dataclass
-class _PreparedServing:
-    """A cell built and ready to run: the prepare/finish seam.
-
-    :func:`run_serving` is prepare → ``state.execute()`` → finish; the
-    batched path swaps the middle for one
-    :func:`~repro.simulator.multistream.run_cores` call over many
-    cells' states.  All RNG-consuming construction happens in prepare,
-    so the two paths are bit-identical per cell.
-    """
-
-    config: ServingConfig
-    state: ServingState
-
-
 def prepare_serving(
     config: ServingConfig, upstream: "ServingCellResult | None" = None
-) -> _PreparedServing:
-    """Build one cell's cluster, fabric, topology, and serving state."""
+) -> Prepared:
+    """Build one cell's fabric, topology, and serving state."""
     rng = np.random.default_rng(config.seed)
-    if config.predecessor is not None:
-        if upstream is None:
-            raise ValueError(
-                f"cell {config.serving_id} chains after "
-                f"{config.predecessor} but no upstream result was supplied"
-            )
-        if upstream.fabric_state is None:
-            raise ValueError(
-                f"predecessor {config.predecessor} carries no fabric state"
-            )
-        if (
-            upstream.config.provider_name != config.provider_name
-            or upstream.config.instance_name != config.instance_name
-        ):
-            raise ValueError(
-                f"chained cell {config.serving_id} targets "
-                f"{config.provider_name}/{config.instance_name} but its "
-                f"predecessor ran {upstream.config.provider_name}/"
-                f"{upstream.config.instance_name}; a warm-fabric chain "
-                "stays on one provider incarnation"
-            )
-        if len(upstream.fabric_state) != config.n_nodes:
-            raise ValueError(
-                f"predecessor fabric has {len(upstream.fabric_state)} "
-                f"nodes, this cell needs {config.n_nodes}"
-            )
-        models = [model_from_state(s) for s in upstream.fabric_state]
-    elif config.provider_name == "fixed":
-        models = [
-            ConstantRateModel(FIXED_RATE_GBPS) for _ in range(config.n_nodes)
-        ]
-    else:
-        provider = default_providers()[config.provider_name]
-        models = [
-            provider.link_model(config.instance_name, rng)
-            for _ in range(config.n_nodes)
-        ]
-    cluster = Cluster(
-        n_nodes=config.n_nodes,
-        node_spec=NodeSpec(),
-        link_model_factory=lambda node: models[node],
-    )
-    fabric = cluster.build_fabric()
-    engine = SparkEngine(cluster, rng=rng)
+    engine, fabric = cell_fabric(config, upstream, rng)
     state = ServingState(
         engine,
         config.build_topology(),
@@ -367,12 +290,10 @@ def prepare_serving(
         payload_scale=config.payload_scale,
         slo_policy=config.slo_policy(),
     )
-    return _PreparedServing(config=config, state=state)
+    return Prepared(config=config, state=state)
 
 
-def finish_serving(
-    prepared: _PreparedServing, outcome
-) -> ServingCellResult:
+def finish_serving(prepared: Prepared, outcome) -> ServingCellResult:
     """Assemble a :class:`ServingCellResult` from a finished run."""
     return ServingCellResult(
         config=prepared.config,
@@ -382,9 +303,7 @@ def finish_serving(
         latency=dict(outcome.latency),
         windows=list(outcome.windows),
         slo=outcome.slo,
-        fabric_state=[
-            model_state_dict(m) for m in prepared.state.fabric.egress_models
-        ],
+        fabric_state=fabric_snapshot(prepared.state.fabric),
         n_steps=outcome.n_steps,
     )
 
@@ -395,54 +314,6 @@ def run_serving(
     """Execute one serving cell end to end (pure function of config)."""
     prepared = prepare_serving(config, upstream=upstream)
     return finish_serving(prepared, prepared.state.execute())
-
-
-def run_servings_batched(
-    configs: "list[ServingConfig]",
-    upstreams: "list[ServingCellResult | None] | None" = None,
-) -> "list[ServingCellResult]":
-    """Run independent serving cells through the lockstep batched driver.
-
-    Bit-identical to ``[run_serving(c, u) for ...]`` per cell; all
-    cells' shaper-fleet work batches through one concatenated
-    super-fleet per fleet class, exactly like
-    :func:`repro.scenarios.orchestrate.run_scenarios_batched`.
-    """
-    from repro.simulator.multistream import run_cores
-
-    if upstreams is None:
-        upstreams = [None] * len(configs)
-    if len(upstreams) != len(configs):
-        raise ValueError("one upstream entry (or None) per config required")
-    prepared = [
-        prepare_serving(config, upstream=upstream)
-        for config, upstream in zip(configs, upstreams)
-    ]
-    groups: dict[type, list[int]] = {}
-    for index, prep in enumerate(prepared):
-        groups.setdefault(type(prep.state.fabric.fleet), []).append(index)
-    results: list[ServingCellResult | None] = [None] * len(configs)
-    for indices in groups.values():
-        outcomes = run_cores([prepared[i].state for i in indices])
-        for i, outcome in zip(indices, outcomes):
-            results[i] = finish_serving(prepared[i], outcome)
-    return results  # type: ignore[return-value]
-
-
-def chain_serving(base: ServingConfig, length: int) -> list[ServingConfig]:
-    """A warm-fabric chain of ``length`` serving cells rooted at ``base``."""
-    if length < 1:
-        raise ValueError("a chain needs at least one cell")
-    configs = [base]
-    for i in range(1, length):
-        configs.append(
-            replace(
-                base,
-                seed=base.seed + i,
-                predecessor=configs[-1].serving_id,
-            )
-        )
-    return configs
 
 
 def serving_matrix(
@@ -461,90 +332,49 @@ def serving_matrix(
     instances: dict[str, str] | None = None,
     chain_length: int = 1,
 ) -> list[ServingConfig]:
-    """Cross product of the serving axes, one config per cell.
+    """Provider x arrival x rate x topology cells, one config per cell.
 
-    Cell seeds derive from the base seed and the cell's own axis values
-    (not its position), so extending an axis later never changes a
-    pre-existing cell's seed or cache key — the same stability contract
-    as :func:`repro.scenarios.orchestrate.scenario_matrix`.
+    Seeds and cache keys follow :func:`repro.workload.matrix`: stable
+    under axis extension.
     """
-    if chain_length < 1:
-        raise ValueError("chain_length must be >= 1")
-    instances = {**SERVING_DEFAULT_INSTANCES, **(instances or {})}
-    configs = []
-    for provider in providers:
-        for arrival in arrivals:
-            for rate in rates_rps:
-                for topology in topologies:
-                    cell_key = json.dumps(
-                        [
-                            int(seed),
-                            provider,
-                            instances[provider],
-                            arrival,
-                            float(rate),
-                            topology,
-                        ]
-                    )
-                    cell_seed = seed + int.from_bytes(
-                        hashlib.sha256(cell_key.encode()).digest()[:4], "big"
-                    )
-                    base = ServingConfig(
-                        provider_name=provider,
-                        instance_name=instances[provider],
-                        n_nodes=n_nodes,
-                        topology=topology,
-                        arrival=arrival,
-                        rate_rps=rate,
-                        duration_s=duration_s,
-                        users=users,
-                        payload_scale=payload_scale,
-                        slo_p99_ms=slo_p99_ms,
-                        slo_p999_ms=slo_p999_ms,
-                        slo_window_s=slo_window_s,
-                        seed=cell_seed,
-                    )
-                    configs.extend(chain_serving(base, chain_length))
-    return configs
+    return matrix(
+        ServingConfig,
+        providers,
+        [
+            ("arrival", arrivals),
+            ("rate_rps", [float(rate) for rate in rates_rps]),
+            ("topology", topologies),
+        ],
+        seed=seed,
+        instances=instances,
+        chain_length=chain_length,
+        n_nodes=n_nodes,
+        duration_s=duration_s,
+        users=users,
+        payload_scale=payload_scale,
+        slo_p99_ms=slo_p99_ms,
+        slo_p999_ms=slo_p999_ms,
+        slo_window_s=slo_window_s,
+    )
 
 
 # ----------------------------------------------------------------------
-# runtime plumbing: cells and the store codec
+# runtime plumbing: the cell function and the store codec
 # ----------------------------------------------------------------------
 def run_serving_payload(
     payload: Mapping, upstream: "ServingCellResult | None" = None
 ) -> ServingCellResult:
     """Cell function: reconstruct the config and run the cell."""
-    config = ServingConfig(**payload)
-    if upstream is None:
-        return run_serving(config)
-    return run_serving(config, upstream=upstream)
-
-
-def run_serving_payloads_batched(
-    payloads: "list[Mapping]", upstreams: "list[ServingCellResult | None]"
-) -> "list[ServingCellResult]":
-    """Batch-runner hook for :class:`repro.runtime.executors.BatchExecutor`."""
-    configs = [ServingConfig(**payload) for payload in payloads]
-    return run_servings_batched(configs, upstreams)
-
-
-def serving_batch_executor(batch_size: int = 32):
-    """A :class:`~repro.runtime.executors.BatchExecutor` wired for serving."""
-    from repro.runtime.executors import BatchExecutor
-
-    return BatchExecutor(run_serving_payloads_batched, batch_size=batch_size)
+    return run_serving(ServingConfig(**payload), upstream=upstream)
 
 
 def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:
     """Codec encoder: a serving cell as store documents.
 
     Everything the aggregate row and the SLO verdict need rides in one
-    ``serving`` document; the fabric snapshot travels as its own
-    document so chained successors can reload it (the scenario-layer
-    convention).  Telemetry arrays and ``n_steps`` are deliberately
-    not stored — stored bytes stay independent of sampling resolution
-    and engine-internals accounting.
+    ``serving`` document.  Telemetry arrays and ``n_steps`` are
+    deliberately not stored — stored bytes stay independent of
+    sampling resolution and engine-internals accounting.
     """
     doc = {
         "n_requests": result.n_requests,
@@ -554,116 +384,23 @@ def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:
         "windows": result.windows,
         "slo": None if result.slo is None else result.slo.to_dict(),
     }
-    documents = {"serving": doc}
-    if result.fabric_state is not None:
-        documents["fabric"] = {"models": result.fabric_state}
-    return documents, {}
+    return encode_fabric(result, {"serving": doc}, {})
 
 
 def decode_serving_result(
     cell: Cell, documents: Mapping
 ) -> ServingCellResult:
     """Codec decoder: rebuild a :class:`ServingCellResult` from the store."""
-    config = ServingConfig(**cell.payload)
     doc = documents["serving"]
     slo_doc = doc.get("slo")
-    result = ServingCellResult(
-        config=config,
+    return ServingCellResult(
+        config=ServingConfig(**cell.payload),
         n_requests=int(doc["n_requests"]),
         n_completed=int(doc["n_completed"]),
         makespan_s=float(doc["makespan_s"]),
         latency=dict(doc["latency"]),
         windows=list(doc["windows"]),
         slo=None if slo_doc is None else SloReport.from_dict(slo_doc),
+        fabric_state=decode_fabric(documents),
         cached=True,
     )
-    fabric_doc = documents.get("fabric")
-    if fabric_doc is not None:
-        result.fabric_state = list(fabric_doc["models"])
-    return result
-
-
-#: The serving layer's store codec, referenced by import path so shard
-#: manifests can name it across machines.
-SERVING_CODEC = ArtifactCodec(
-    encode_ref="repro.serving.scenario:encode_serving_result",
-    decode_ref="repro.serving.scenario:decode_serving_result",
-)
-
-
-def serving_cells(configs: "list[ServingConfig]") -> "list[Cell]":
-    """Map serving configs to runtime cells (keyed by ``serving_id``)."""
-    return [
-        Cell(
-            fn="repro.serving.scenario:run_serving_payload",
-            payload=asdict(config),
-            key=config.serving_id,
-            after=config.predecessor,
-        )
-        for config in configs
-    ]
-
-
-class ServingCampaign:
-    """Runs a serving matrix, caching cells in a trace repository.
-
-    The serving twin of
-    :class:`~repro.scenarios.orchestrate.ScenarioCampaign`: a thin
-    adapter over :class:`~repro.runtime.campaign.CampaignRunner` with
-    the serving codec.  Pass ``executor=serving_batch_executor()`` to
-    run independent cells through the lockstep batched driver, or use
-    :meth:`shard_manifests` with the ``repro worker`` / ``repro
-    merge`` CLI for multi-machine runs.
-    """
-
-    def __init__(
-        self,
-        configs: "list[ServingConfig]",
-        repository: TraceRepository | None = None,
-        workers: int = 1,
-        executor=None,
-    ) -> None:
-        if not configs:
-            raise ValueError("a campaign needs at least one serving cell")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        ids = [c.serving_id for c in configs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate serving configs in the matrix")
-        self.configs = list(configs)
-        self.repository = repository
-        self.workers = workers
-        if executor is None:
-            executor = (
-                SerialExecutor()
-                if workers == 1
-                else ProcessPoolExecutor(workers)
-            )
-        self.executor = executor
-
-    @property
-    def cells(self) -> "list[Cell]":
-        return serving_cells(self.configs)
-
-    def shard_manifests(
-        self, directory: str | Path, n_shards: int
-    ) -> "list[Path]":
-        """Write per-machine shard manifests for this matrix."""
-        return write_shard_manifests(
-            self.cells,
-            n_shards=n_shards,
-            directory=directory,
-            encode_ref=SERVING_CODEC.encode_ref,
-            decode_ref=SERVING_CODEC.decode_ref,
-        )
-
-    def run(self) -> "dict[str, ServingCellResult]":
-        """Execute pending cells, reload cached ones; results by id."""
-        runner = CampaignRunner(
-            self.cells,
-            store=self.repository.artifacts if self.repository else None,
-            codec=SERVING_CODEC,
-            executor=self.executor,
-        )
-        outcome = run_wrapping_corruption(runner)
-        return dict(outcome.results)

@@ -22,19 +22,16 @@ from repro.runtime import (
     partition_cells,
     run_manifest,
 )
-from repro.scenarios import (
-    ScenarioCampaign,
-    ScenarioConfig,
-    chain_scenarios,
-    scenario_cells,
-)
+from repro.scenarios import ScenarioCampaign, ScenarioConfig
+from repro.workload import cells as workload_cells
+from repro.workload import chain
 
 FAST = dict(n_nodes=4, n_jobs=2, data_scale=0.05)
 
 
 def fast_chain(length=3, seed=5, scheduler="fair", **kwargs):
     base = ScenarioConfig(seed=seed, scheduler=scheduler, **FAST, **kwargs)
-    return chain_scenarios(base, length)
+    return chain(base, length)
 
 
 class TestCellAfter:
@@ -74,7 +71,7 @@ class TestCellAfter:
 
 class TestChainPartition:
     def test_chains_stay_on_one_shard(self):
-        cells = scenario_cells(fast_chain(3) + fast_chain(3, seed=77))
+        cells = workload_cells(fast_chain(3) + fast_chain(3, seed=77))
         for n_shards in (2, 3, 4):
             shards = partition_cells(cells, n_shards)
             for shard in shards:

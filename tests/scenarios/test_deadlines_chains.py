@@ -7,12 +7,12 @@ from repro.measurement import TraceRepository
 from repro.scenarios import (
     ScenarioCampaign,
     ScenarioConfig,
-    chain_scenarios,
     run_scenario,
     scenario_matrix,
     synthesize_deadlines,
 )
 from repro.scenarios.generate import job_stream, poisson_arrivals
+from repro.workload import chain
 
 FAST = dict(n_nodes=4, n_jobs=3, data_scale=0.05)
 
@@ -127,8 +127,8 @@ class TestScenarioConfigCompat:
 class TestWarmFabricChains:
     def test_chain_ids_stable_and_prefix_preserving(self):
         base = ScenarioConfig(seed=5, **FAST)
-        chain3 = chain_scenarios(base, 3)
-        chain5 = chain_scenarios(base, 5)
+        chain3 = chain(base, 3)
+        chain5 = chain(base, 5)
         assert [c.scenario_id for c in chain5[:3]] == [
             c.scenario_id for c in chain3
         ]
@@ -155,7 +155,7 @@ class TestWarmFabricChains:
         base = ScenarioConfig(
             seed=5, n_nodes=4, n_jobs=2, data_scale=4.0, scheduler="fifo"
         )
-        head, tail = chain_scenarios(base, 2)
+        head, tail = chain(base, 2)
         upstream = run_scenario(head)
         # The head left real carry-over behind: budgets below capacity.
         assert any(
@@ -179,46 +179,8 @@ class TestWarmFabricChains:
             s["params"] for s in upstream.fabric_state
         ]
 
-    def test_chained_cell_requires_upstream(self):
-        head, tail = chain_scenarios(ScenarioConfig(seed=5, **FAST), 2)
-        with pytest.raises(ValueError, match="upstream"):
-            run_scenario(tail)
-        bad = run_scenario(head)
-        bad.fabric_state = None
-        with pytest.raises(ValueError, match="fabric"):
-            run_scenario(tail, upstream=bad)
-
-    def test_node_count_mismatch_rejected(self):
-        head = ScenarioConfig(seed=5, **FAST)
-        upstream = run_scenario(head)
-        from dataclasses import replace
-
-        tail = replace(
-            head, n_nodes=6, seed=6, predecessor=head.scenario_id
-        )
-        with pytest.raises(ValueError, match="nodes"):
-            run_scenario(tail, upstream=upstream)
-
-    def test_provider_mismatch_rejected(self):
-        # A chained cell labeled for another provider must not silently
-        # run on the predecessor's incarnations (mislabeled rows would
-        # also poison the cache under the wrong scenario_id).
-        head = ScenarioConfig(seed=5, **FAST)
-        upstream = run_scenario(head)
-        from dataclasses import replace
-
-        tail = replace(
-            head,
-            provider_name="google",
-            instance_name="gce-4core",
-            seed=6,
-            predecessor=head.scenario_id,
-        )
-        with pytest.raises(ValueError, match="provider incarnation"):
-            run_scenario(tail, upstream=upstream)
-
     def test_chain_is_deterministic(self):
-        head, tail = chain_scenarios(
+        head, tail = chain(
             ScenarioConfig(seed=5, scheduler="srpt", **FAST), 2
         )
         r1 = run_scenario(tail, upstream=run_scenario(head))

