@@ -450,9 +450,8 @@ def run_scenario_payload(
 def encode_scenario_result(result: ScenarioResult) -> tuple[dict, dict]:
     """Codec encoder: a scenario cell as trace-repository documents
     (legacy readers that only walk ``patterns`` ignore the fabric)."""
-    return encode_fabric(
-        result, *campaign_to_documents(result.to_campaign_result())
-    )
+    documents, meta = campaign_to_documents(result.to_campaign_result())
+    return encode_fabric(result, documents), meta
 
 
 def decode_scenario_result(cell: Cell, documents: Mapping) -> ScenarioResult:

@@ -384,7 +384,7 @@ def encode_serving_result(result: ServingCellResult) -> tuple[dict, dict]:
         "windows": result.windows,
         "slo": None if result.slo is None else result.slo.to_dict(),
     }
-    return encode_fabric(result, {"serving": doc}, {})
+    return encode_fabric(result, {"serving": doc}), {}
 
 
 def decode_serving_result(

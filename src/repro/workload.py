@@ -34,7 +34,6 @@ that patches those module attributes sees every run path.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, replace
@@ -232,7 +231,7 @@ def fabric_snapshot(fabric: Fabric) -> list[dict]:
     return [model_state_dict(m) for m in fabric.egress_models]
 
 
-def encode_fabric(result, documents: dict, meta: dict) -> tuple[dict, dict]:
+def encode_fabric(result, documents: dict) -> dict:
     """Add the fabric snapshot to a result's store documents.
 
     It travels as its own ``fabric`` document, so chained successors
@@ -240,7 +239,7 @@ def encode_fabric(result, documents: dict, meta: dict) -> tuple[dict, dict]:
     """
     if result.fabric_state is not None:
         documents["fabric"] = {"models": result.fabric_state}
-    return documents, meta
+    return documents
 
 
 def decode_fabric(documents: Mapping) -> list | None:
@@ -281,16 +280,11 @@ def run_batched(configs: Sequence[CellConfig], upstreams=None) -> list:
     return results
 
 
-def _config_of(cell: Cell) -> CellConfig:
-    if cell.fn not in _CONFIG_TYPES:
-        importlib.import_module(cell.fn.partition(":")[0])
-    return _CONFIG_TYPES[cell.fn](**cell.payload)
-
-
 def run_cells_batched(batch: Sequence[Cell], upstreams) -> list:
     """Batch-runner hook for :class:`~repro.runtime.executors.BatchExecutor`:
     rebuild each cell's config and run the batch via :func:`run_batched`."""
-    return run_batched([_config_of(cell) for cell in batch], upstreams)
+    configs = [_CONFIG_TYPES[cell.fn](**cell.payload) for cell in batch]
+    return run_batched(configs, upstreams)
 
 
 def batch_executor(batch_size: int = 32) -> BatchExecutor:
