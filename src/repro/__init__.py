@@ -79,21 +79,23 @@ the layer below by the golden trace and ``repro bench --check``:
    step costs a handful of array ops instead of a Python loop over
    links.  Small fabrics take scalar fast paths that perform the same
    arithmetic without the ufunc dispatch.
-2. **Compiled kernels.**  :mod:`repro.simulator.kernels` JIT-compiles
+2. **Compiled kernels.**  :mod:`repro.simulator._kernels` JIT-compiles
    the water-filling and flow-advance inner loops with numba when the
    optional ``repro[jit]`` extra is installed; a pure-numpy fallback
    (forced via ``REPRO_NO_JIT=1``, and the default when numba is
    absent) is bit-identical, and CI runs the whole tier-1 and bench
    suites on both legs.
 3. **Batched multi-stream execution.**
-   :func:`repro.simulator.multistream.run_streams` stitches many
+   :func:`repro.simulator.multistream.run_cores` stitches many
    independent cells' fleets into one concatenated super-fleet and
-   advances all cells per lockstep round with a single ``horizons`` /
-   ``advance_many`` call pair — the SoA trick applied across cells —
-   which amortizes per-cell numpy dispatch and makes million-cell
+   advances all cells per lockstep round with one ``horizons`` and
+   one ``advance`` call.  That ``advance`` is the one a serial fabric
+   calls, given one ``dt`` per link instead of a float, so each cell
+   keeps its own event step.  This is the SoA trick applied across
+   cells: it amortizes per-cell numpy dispatch and makes million-cell
    campaign matrices cheap.  The campaign runtime exposes it as an
-   opt-in batch executor; per-cell results are byte-identical to
-   serial ``run_stream`` calls.
+   opt-in batch executor (:func:`repro.workload.batch_executor`);
+   per-cell results are byte-identical to serial runs.
 
 ``BENCH_engine.json`` records the measured trajectory
 (``python -m repro bench``); ``--profile`` archives per-case cProfile

@@ -108,17 +108,9 @@ def bench_stream(
     data_scale: float = 0.3,
     seed: int = 1234,
     scheduler: str = "fair",
-    scalar_fleet: bool = False,
     recorder=None,
 ) -> dict:
     """Time one multi-tenant stream execution end to end.
-
-    ``scalar_fleet`` forces the per-model
-    :class:`~repro.netmodel.fleet.ScalarFleetAdapter` loop instead of
-    the vectorized :class:`~repro.netmodel.fleet.TokenBucketFleet` the
-    homogeneous shaper list would normally get — the two paths are
-    bit-exact, so their checksums must agree and the wall-clock delta
-    is pure shaper-fleet speedup.
 
     ``recorder`` attaches an :class:`~repro.obs.recorder.ObsRecorder`
     to the run; the recorder only reads simulation state, so the
@@ -130,24 +122,13 @@ def bench_stream(
         node_spec=NodeSpec(slots=slots),
         link_model_factory=lambda node: TokenBucketModel(_STREAM_BUCKET),
     )
-    fabric = None
-    if scalar_fleet:
-        # The factory draws nothing from the RNG, so pre-building the
-        # fabric leaves the simulation stream identical.
-        models = [TokenBucketModel(_STREAM_BUCKET) for _ in range(n_nodes)]
-        fabric = Fabric(
-            ScalarFleetAdapter(models),
-            [cluster.node_spec.ingress_gbps] * n_nodes,
-        )
     times = poisson_arrivals(rng, rate_per_min=rate_per_min, n_jobs=n_jobs)
     stream = job_stream(
         rng, times, n_nodes=n_nodes, slots=slots, data_scale=data_scale
     )
     engine = SparkEngine(cluster, rng=rng)
     start = time.perf_counter()
-    result = engine.run_stream(
-        stream, scheduler=scheduler, fabric=fabric, recorder=recorder
-    )
+    result = engine.run_stream(stream, scheduler=scheduler, recorder=recorder)
     wall_s = time.perf_counter() - start
     return {
         "wall_s": round(wall_s, 4),

@@ -19,6 +19,13 @@ same order, as N scalar calls would, which is what lets the
 golden-trace test pin fleet and scalar outputs bit-for-bit against
 each other.
 
+Each fleet has one :meth:`~LinkModelFleet.advance`.  Its ``dt`` is a
+float (one step for every link, the serial fabric path) or a per-link
+float64 array (independent cells stepping through one concatenated
+super-fleet, see :func:`concat_fleets`).  The body is elementwise in
+``dt``, so a scalar step broadcasts to the very operations the array
+form performs per link and both forms are bit-exact.
+
 Five implementations:
 
 * :class:`TokenBucketFleet` — flat budget/capacity/fill/tier arrays,
@@ -37,8 +44,7 @@ Five implementations:
   efficiency redraws at interval crossings;
 * :class:`ScalarFleetAdapter` — wraps heterogeneous or unknown scalar
   models in the reference per-model loop, so every fabric holds *some*
-  fleet and the old ``Fabric(egress_models=...)`` constructor keeps
-  working unchanged.
+  fleet, whatever list of link models it is built from.
 
 :func:`build_fleet` picks the best implementation for a model list.
 """
@@ -80,7 +86,8 @@ class LinkModelFleet(ABC):
     values (callers rely on this to swap fleets for scalar loops under
     golden-trace pins).  ``models`` exposes the adopted scalar handles;
     reading or mutating one of them observes/updates fleet state
-    directly.
+    directly.  :meth:`advance` takes a float ``dt`` or one ``dt`` per
+    link, with the same per-link arithmetic either way.
     """
 
     #: Adopted scalar handles, in node order.
@@ -93,6 +100,23 @@ class LinkModelFleet(ABC):
     #: Class-level None: attaching a recorder costs nothing until a
     #: transition occurs, and the unhooked path stays allocation-free.
     transition_hook = None
+
+    #: Per-link bool mask of the links whose ceiling changed, valid
+    #: after an :meth:`advance` that returned True and until the next
+    #: fleet call (it may be a scratch buffer).
+    changed_links: np.ndarray
+
+    #: Array attributes :func:`concat_fleets` concatenates into a
+    #: super-fleet and rebinds on the member fleets as slice views
+    #: (constants and hot state alike: views of constants cost nothing
+    #: and keep the stitching uniform).  None: the class cannot be
+    #: concatenated.  Scratch buffers are not shared; each fleet sizes
+    #: its own in :meth:`_alloc_scratch`.
+    _CONCAT_ARRAYS: tuple[str, ...] | None = None
+
+    def _alloc_scratch(self, n: int) -> None:
+        """Allocate the per-fleet buffers for ``n`` links."""
+        self.changed_links = np.zeros(n, dtype=bool)
 
     @property
     def n(self) -> int:
@@ -121,36 +145,30 @@ class LinkModelFleet(ABC):
         """
 
     @abstractmethod
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
         """Account ``dt`` seconds of per-link traffic.
+
+        ``dt`` is one step for every link, or a float64 array with one
+        step per link, so independent cells sharing a concatenated
+        super-fleet (:func:`concat_fleets`) each take their own event
+        step in one call.  Link ``i`` sees the exact float operations
+        a scalar ``advance(dt[i], ...)`` performs.
 
         Returns True when any link's ceiling changed over the step —
         the signal :meth:`~repro.simulator.fabric.Fabric.advance` uses
-        to invalidate its rate assignment.
+        to invalidate its rate assignment; :attr:`changed_links` then
+        says which links changed.
         """
 
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        """Per-link-``dt`` variant of :meth:`advance` for batched runs.
-
-        ``dt`` carries one step length per link, so independent
-        simulation cells sharing one concatenated super-fleet (see
-        :func:`concat_fleets`) can each take their own event step in a
-        single fleet call.  Every per-link float operation is the exact
-        operation :meth:`advance` performs with that link's scalar
-        ``dt`` — the batched form is bit-identical per link, which the
-        multistream runner's equivalence tests pin.
-
-        Returns ``None`` when no link's ceiling changed, else a per-link
-        boolean mask of the links whose ceiling changed.  The mask may
-        be an internal scratch buffer: consume it before the next fleet
-        call.  No :attr:`transition_hook` fires from this path —
-        batched runs do not support recorders.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support batched advance"
-        )
+    def _report(self, changed: np.ndarray) -> bool:
+        """Close :meth:`advance` over its :attr:`changed_links` mask:
+        True when any link changed, after firing the transition hook."""
+        if not changed.any():
+            return False
+        hook = self.transition_hook
+        if hook is not None:
+            hook(np.flatnonzero(changed), self.limits())
+        return True
 
     @abstractmethod
     def rest(self, duration_s: float) -> None:
@@ -168,6 +186,15 @@ class LinkModelFleet(ABC):
         return None
 
 
+def _check_dt(dt: float | np.ndarray) -> None:
+    """Reject a negative step: a float, or any entry of a per-link array."""
+    if isinstance(dt, np.ndarray):
+        if dt.size and float(dt.min()) < 0.0:
+            raise ValueError("dt must be non-negative elementwise")
+    elif dt < 0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
+
+
 class ScalarFleetAdapter(LinkModelFleet):
     """Reference fleet: per-model Python loops over arbitrary models.
 
@@ -177,8 +204,13 @@ class ScalarFleetAdapter(LinkModelFleet):
     before fleets existed.
     """
 
+    # The models themselves hold the state: an adapter over the
+    # concatenated model list shares it.
+    _CONCAT_ARRAYS = ()
+
     def __init__(self, models: Sequence[LinkModel]) -> None:
         self.models = list(models)
+        self._alloc_scratch(len(self.models))
 
     def limits(self) -> np.ndarray:
         return np.array([m.limit() for m in self.models], dtype=float)
@@ -195,40 +227,19 @@ class ScalarFleetAdapter(LinkModelFleet):
             dtype=float,
         )
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        changed_indices: list[int] | None = None
-        for index, (model, rate) in enumerate(
-            zip(self.models, send_rates.tolist())
-        ):
-            before = model.limit()
-            model.advance(dt, rate)
-            if model.limit() != before:
-                if changed_indices is None:
-                    changed_indices = []
-                changed_indices.append(index)
-        if changed_indices is None:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        mask: np.ndarray | None = None
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
+        _check_dt(dt)
+        changed = self.changed_links
+        changed.fill(False)
+        steps = np.broadcast_to(dt, changed.shape).tolist()
         for index, (model, step, rate) in enumerate(
-            zip(self.models, dt.tolist(), send_rates.tolist())
+            zip(self.models, steps, send_rates.tolist())
         ):
             before = model.limit()
             model.advance(step, rate)
             if model.limit() != before:
-                if mask is None:
-                    mask = np.zeros(len(self.models), dtype=bool)
-                mask[index] = True
-        return mask
+                changed[index] = True
+        return self._report(changed)
 
     def rest(self, duration_s: float) -> None:
         for model in self.models:
@@ -253,6 +264,21 @@ class TokenBucketFleet(LinkModelFleet):
     scalar :class:`~repro.netmodel.token_bucket.TokenBucketModel`
     methods, so fleet and scalar paths are bit-exact.
     """
+
+    _CONCAT_ARRAYS = (
+        "_peak",
+        "_capped",
+        "_replenish",
+        "_capacity",
+        "_resume",
+        "_reset_budget",
+        "_reset_throttled",
+        "_resume_minus_eps",
+        "_tier_differs",
+        "_budget",
+        "_throttled",
+        "_flip_threshold",
+    )
 
     def __init__(self, models: Sequence[TokenBucketModel]) -> None:
         models = list(models)
@@ -284,19 +310,9 @@ class TokenBucketFleet(LinkModelFleet):
         self._throttled = np.array(
             [m._throttled_local for m in models], dtype=bool
         )
-        n = len(models)
-        self._zeros = np.zeros(n, dtype=float)
-        # Dispatch-count economies for the per-step hot path: scratch
-        # buffers (arrays this small are dominated by allocation and
-        # ufunc-dispatch overhead, not arithmetic) and precomputed
-        # constants.
+        # Precomputed constants for the per-step hot path.
         self._resume_minus_eps = self._resume - _EMPTY_EPS_GBIT
         self._tier_differs = self._capped != self._peak
-        self._f64_scratch = np.empty(n, dtype=float)
-        self._f64_scratch2 = np.empty(n, dtype=float)
-        self._bool_scratch = np.empty(n, dtype=bool)
-        self._bool_scratch2 = np.empty(n, dtype=bool)
-        self._horizon_out = np.empty(n, dtype=float)
         # Tier-flip threshold per link: a high link flips when its
         # budget hits 0 (== any value at/below the empty snap, since
         # advance snaps (0, eps] to 0), a throttled link when the
@@ -305,9 +321,21 @@ class TokenBucketFleet(LinkModelFleet):
         self._flip_threshold = np.where(
             self._throttled, self._resume_minus_eps, _EMPTY_EPS_GBIT
         )
+        self._alloc_scratch(len(models))
         for index, model in enumerate(models):
             model._fleet = self
             model._fleet_index = index
+
+    def _alloc_scratch(self, n: int) -> None:
+        # Scratch buffers: arrays this small are dominated by
+        # allocation and ufunc-dispatch overhead, not arithmetic.
+        super()._alloc_scratch(n)
+        self._zeros = np.zeros(n, dtype=float)
+        self._f64_scratch = np.empty(n, dtype=float)
+        self._f64_scratch2 = np.empty(n, dtype=float)
+        self._bool_scratch = np.empty(n, dtype=bool)
+        self._bool_scratch2 = np.empty(n, dtype=bool)
+        self._horizon_out = np.empty(n, dtype=float)
 
     def _sync_thresholds(self) -> None:
         """Recompute the cached flip thresholds from ``_throttled``.
@@ -375,9 +403,8 @@ class TokenBucketFleet(LinkModelFleet):
                 out[zero] = 0.0
         return out
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
+        _check_dt(dt)
         budget = self._budget
         step = np.subtract(self._replenish, send_rates, out=self._f64_scratch)
         step *= dt
@@ -392,7 +419,7 @@ class TokenBucketFleet(LinkModelFleet):
         # scalar tier rules (throttled: budget >= resume - eps resumes;
         # high: budget <= 0 throttles) reduce to one compare against
         # the per-tier threshold.
-        flipped = np.less(budget, self._flip_threshold, out=self._bool_scratch)
+        flipped = np.less(budget, self._flip_threshold, out=self.changed_links)
         throttled = self._throttled
         np.not_equal(flipped, throttled, out=flipped)
         if not flipped.any():
@@ -402,39 +429,7 @@ class TokenBucketFleet(LinkModelFleet):
         # The ceiling only moves when the tier flips on a link whose
         # two tiers actually differ.
         np.logical_and(flipped, self._tier_differs, out=flipped)
-        changed = bool(flipped.any())
-        if changed:
-            hook = self.transition_hook
-            if hook is not None:
-                hook(np.flatnonzero(flipped), self.limits())
-        return changed
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        # The exact :meth:`advance` expression chain with a per-link
-        # ``dt``: every operation is elementwise, so link ``i`` sees
-        # bit-identical arithmetic to a scalar ``advance(dt[i], ...)``.
-        # (min() is a pure reduction — no comparison temporary.)
-        if dt.size and float(dt.min()) < 0.0:
-            raise ValueError("dt must be non-negative elementwise")
-        budget = self._budget
-        step = np.subtract(self._replenish, send_rates, out=self._f64_scratch)
-        step *= dt
-        budget += step
-        np.maximum(budget, 0.0, out=budget)
-        np.minimum(budget, self._capacity, out=budget)
-        alive = np.greater(budget, _EMPTY_EPS_GBIT, out=self._bool_scratch)
-        np.multiply(budget, alive, out=budget)
-        flipped = np.less(budget, self._flip_threshold, out=self._bool_scratch)
-        throttled = self._throttled
-        np.not_equal(flipped, throttled, out=flipped)
-        if not flipped.any():
-            return None
-        np.logical_xor(throttled, flipped, out=throttled)
-        self._sync_thresholds()
-        np.logical_and(flipped, self._tier_differs, out=flipped)
-        return flipped
+        return self._report(flipped)
 
     def rest(self, duration_s: float) -> None:
         # Analytic idle refill, exactly TokenBucketModel.rest: with no
@@ -456,6 +451,8 @@ class TokenBucketFleet(LinkModelFleet):
 class ConstantRateFleet(LinkModelFleet):
     """Fixed-capacity links: nothing to advance, horizons are infinite."""
 
+    _CONCAT_ARRAYS = ("_rates",)
+
     def __init__(self, models: Sequence[ConstantRateModel]) -> None:
         models = list(models)
         for model in models:
@@ -463,6 +460,7 @@ class ConstantRateFleet(LinkModelFleet):
                 raise TypeError(f"not a ConstantRateModel: {model!r}")
         self.models = models
         self._rates = np.array([m.limit() for m in models], dtype=float)
+        self._alloc_scratch(len(models))
 
     def limits(self) -> np.ndarray:
         return self._rates.copy()
@@ -473,17 +471,9 @@ class ConstantRateFleet(LinkModelFleet):
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.full(self._rates.shape[0], math.inf)
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
+        _check_dt(dt)
         return False
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        return None
 
     def rest(self, duration_s: float) -> None:
         if duration_s < 0:
@@ -508,6 +498,7 @@ class ResamplingFleet(LinkModelFleet):
     """
 
     _ADOPTABLE = (UniformQuantileSamplingModel, Ar1QuantileModel)
+    _CONCAT_ARRAYS = ("_intervals", "_elapsed", "_current")
 
     def __init__(self, models: Sequence[LinkModel]) -> None:
         models = list(models)
@@ -520,6 +511,7 @@ class ResamplingFleet(LinkModelFleet):
         self._intervals = np.array([m._interval for m in models], dtype=float)
         self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
         self._current = np.array([m._current_local for m in models], dtype=float)
+        self._alloc_scratch(len(models))
         for index, model in enumerate(models):
             model._fleet = self
             model._fleet_index = index
@@ -533,15 +525,15 @@ class ResamplingFleet(LinkModelFleet):
     def horizons(self, send_rates: np.ndarray) -> np.ndarray:
         return np.maximum(self._intervals - self._elapsed, 0.0)
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
+        _check_dt(dt)
         elapsed = self._elapsed
         elapsed += dt
         crossed = elapsed >= self._intervals - 1e-12
         if not crossed.any():
             return False
-        changed_indices: list[int] | None = None
+        changed = self.changed_links
+        changed.fill(False)
         current = self._current
         for i in np.flatnonzero(crossed).tolist():
             interval = float(self._intervals[i])
@@ -555,44 +547,9 @@ class ResamplingFleet(LinkModelFleet):
             elapsed[i] = e
             value = self.models[i]._draw_batch(k)
             if value != current[i]:
-                if changed_indices is None:
-                    changed_indices = []
-                changed_indices.append(i)
+                changed[i] = True
             current[i] = value
-        if changed_indices is None:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        elapsed = self._elapsed
-        elapsed += dt
-        crossed = elapsed >= self._intervals - 1e-12
-        if not crossed.any():
-            return None
-        mask: np.ndarray | None = None
-        current = self._current
-        for i in np.flatnonzero(crossed).tolist():
-            interval = float(self._intervals[i])
-            e = float(elapsed[i])
-            k = 0
-            while e >= interval - 1e-12:
-                e -= interval
-                k += 1
-            elapsed[i] = e
-            value = self.models[i]._draw_batch(k)
-            if value != current[i]:
-                if mask is None:
-                    mask = np.zeros(elapsed.shape[0], dtype=bool)
-                mask[i] = True
-            current[i] = value
-        return mask
+        return self._report(changed)
 
     def rest(self, duration_s: float) -> None:
         # Mirrors the generic LinkModel.rest horizon-stepping loop per
@@ -643,6 +600,18 @@ class PerCoreQosFleet(LinkModelFleet):
     sequences are bit-identical to the scalar path.
     """
 
+    _CONCAT_ARRAYS = (
+        "_qos",
+        "_ramp",
+        "_idle_reset",
+        "_interval",
+        "_interval_eps",
+        "_age",
+        "_idle",
+        "_elapsed",
+        "_eff",
+    )
+
     def __init__(self, models: Sequence[PerCoreQosModel]) -> None:
         models = list(models)
         for model in models:
@@ -663,13 +632,16 @@ class PerCoreQosFleet(LinkModelFleet):
         self._idle = np.array([m._idle_local for m in models], dtype=float)
         self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
         self._eff = np.array([m._eff_local for m in models], dtype=float)
-        n = len(models)
-        self._f64_scratch = np.empty(n, dtype=float)
-        self._bool_scratch = np.empty(n, dtype=bool)
-        self._bool_scratch2 = np.empty(n, dtype=bool)
+        self._alloc_scratch(len(models))
         for index, model in enumerate(models):
             model._fleet = self
             model._fleet_index = index
+
+    def _alloc_scratch(self, n: int) -> None:
+        super()._alloc_scratch(n)
+        self._f64_scratch = np.empty(n, dtype=float)
+        self._bool_scratch = np.empty(n, dtype=bool)
+        self._bool_scratch2 = np.empty(n, dtype=bool)
 
     def limits(self) -> np.ndarray:
         return self._qos * self._eff
@@ -682,9 +654,8 @@ class PerCoreQosFleet(LinkModelFleet):
         np.maximum(out, 0.0, out=out)
         return out
 
-    def advance(self, dt: float, send_rates: np.ndarray) -> bool:
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
+    def advance(self, dt: float | np.ndarray, send_rates: np.ndarray) -> bool:
+        _check_dt(dt)
         age = self._age
         idle = self._idle
         elapsed = self._elapsed
@@ -736,71 +707,12 @@ class PerCoreQosFleet(LinkModelFleet):
                 eff[i] = self.models[i]._draw_efficiency_batch(k)
         if old_eff is None:
             return False
-        changed_indices = sorted(
-            i for i, before in old_eff.items() if eff[i] != before
-        )
-        if not changed_indices:
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.asarray(changed_indices, dtype=np.intp), self.limits())
-        return True
-
-    def advance_many(
-        self, dt: np.ndarray, send_rates: np.ndarray
-    ) -> np.ndarray | None:
-        # :meth:`advance` with a per-link ``dt``; every clockwork
-        # update is elementwise and the redraw loops replay the scalar
-        # operation order per link, so link ``i`` is bit-identical to a
-        # scalar ``advance(dt[i], ...)``.
-        if np.any(dt < 0.0):
-            raise ValueError("dt must be non-negative elementwise")
-        age = self._age
-        idle = self._idle
-        elapsed = self._elapsed
-        eff = self._eff
-        sending = np.greater(send_rates, 1e-9, out=self._bool_scratch)
-        old_eff: dict[int, float] | None = None
-        resume = np.greater_equal(idle, self._idle_reset, out=self._bool_scratch2)
-        np.logical_and(resume, sending, out=resume)
-        if resume.any():
-            old_eff = {}
-            for i in np.flatnonzero(resume).tolist():
-                age[i] = 0.0
-                old_eff[i] = float(eff[i])
-                eff[i] = self.models[i]._draw_efficiency()
-        np.add(age, dt, out=age, where=sending)
-        notsending = np.logical_not(sending, out=self._bool_scratch2)
-        np.add(idle, dt, out=idle, where=notsending)
-        idle[sending] = 0.0
-        elapsed += dt
-        crossed = np.greater_equal(
-            elapsed, self._interval_eps, out=self._bool_scratch2
-        )
-        if crossed.any():
-            if old_eff is None:
-                old_eff = {}
-            for i in np.flatnonzero(crossed).tolist():
-                interval = float(self._interval[i])
-                threshold = float(self._interval_eps[i])
-                e = float(elapsed[i])
-                k = 0
-                while e >= threshold:
-                    e -= interval
-                    k += 1
-                elapsed[i] = e
-                if i not in old_eff:
-                    old_eff[i] = float(eff[i])
-                eff[i] = self.models[i]._draw_efficiency_batch(k)
-        if old_eff is None:
-            return None
-        mask: np.ndarray | None = None
+        changed = self.changed_links
+        changed.fill(False)
         for i, before in old_eff.items():
             if eff[i] != before:
-                if mask is None:
-                    mask = np.zeros(eff.shape[0], dtype=bool)
-                mask[i] = True
-        return mask
+                changed[i] = True
+        return self._report(changed)
 
     def rest(self, duration_s: float) -> None:
         # Per-model generic horizon-stepping rest: the scalar reference
@@ -816,20 +728,18 @@ class PerCoreQosFleet(LinkModelFleet):
             model.reset()
 
 
-def build_fleet(
-    models: Sequence[LinkModel], prefer_scalar: bool = False
-) -> LinkModelFleet:
+def build_fleet(models: Sequence[LinkModel]) -> LinkModelFleet:
     """Choose the best fleet implementation for ``models``.
 
     Homogeneous lists of the known model *exact* types get their
     vectorized fleet (the two resampling classes may mix, since their
     clockwork is shared); anything else — mixed fleets, subclasses,
     models already adopted elsewhere — falls back to the scalar
-    adapter, which is always correct.  ``prefer_scalar`` forces the
-    adapter (reference/regression-comparison runs).
+    adapter, which is always correct.  Reference runs construct
+    :class:`ScalarFleetAdapter` directly.
     """
     models = list(models)
-    if prefer_scalar or not models:
+    if not models:
         return ScalarFleetAdapter(models)
     if any(getattr(m, "_fleet", None) is not None for m in models):
         return ScalarFleetAdapter(models)
@@ -846,42 +756,6 @@ def build_fleet(
     return ScalarFleetAdapter(models)
 
 
-#: Per-class arrays that concatenate into a super-fleet and rebind on
-#: the member fleets as slice views (constants and hot state alike:
-#: views of constants cost nothing and keep the stitching uniform).
-#: Scratch buffers are *not* shared — each fleet keeps its own, sized
-#: to its own link count.
-_CONCAT_SHARED: dict[type, tuple[str, ...]] = {
-    TokenBucketFleet: (
-        "_peak",
-        "_capped",
-        "_replenish",
-        "_capacity",
-        "_resume",
-        "_reset_budget",
-        "_reset_throttled",
-        "_resume_minus_eps",
-        "_tier_differs",
-        "_budget",
-        "_throttled",
-        "_flip_threshold",
-    ),
-    ConstantRateFleet: ("_rates",),
-    ResamplingFleet: ("_intervals", "_elapsed", "_current"),
-    PerCoreQosFleet: (
-        "_qos",
-        "_ramp",
-        "_idle_reset",
-        "_interval",
-        "_interval_eps",
-        "_age",
-        "_idle",
-        "_elapsed",
-        "_eff",
-    ),
-}
-
-
 def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
     """Stitch same-class fleets into one super-fleet over shared state.
 
@@ -889,17 +763,17 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
     concatenated in order, and each member fleet's array attributes are
     *rebound to slice views* of the concatenation — after this call the
     member fleets and the super-fleet read and write the same memory.
-    One ``horizons``/``advance_many`` call on the super-fleet then
-    covers every member link while scalar model handles, per-member
+    One ``horizons``/``advance`` call on the super-fleet then covers
+    every member link while scalar model handles, per-member
     ``limits()``/``budgets()`` reads, and member-level ``reset`` keep
     working unchanged (all fleet mutators write in place).
 
     This is the multistream runner's core trick: N independent
     simulation cells, each with its own few-link fleet, pay one numpy
     dispatch per batched operation instead of N.  Per-link arithmetic
-    is unchanged — ``advance_many`` takes a per-link ``dt`` so each
-    cell still steps by its own event horizon, bit-identically to its
-    standalone ``advance``.
+    is unchanged — ``advance`` takes a per-link ``dt`` so each cell
+    still steps by its own event horizon, bit-identically to its
+    standalone float-``dt`` ``advance``.
 
     All fleets must be the same concrete class (heterogeneous batches
     would need per-class dispatch — group cells first).  Transition
@@ -919,16 +793,11 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
             raise ValueError(
                 "fleets with transition hooks (recorders) cannot batch"
             )
-    models = [m for fleet in fleets for m in fleet.models]
-    if cls is ScalarFleetAdapter:
-        # No arrays to stitch: the models themselves hold the state,
-        # and a fresh adapter over the concatenated list shares them.
-        return ScalarFleetAdapter(models)
-    if cls not in _CONCAT_SHARED:
+    if cls._CONCAT_ARRAYS is None:
         raise ValueError(f"cannot concatenate fleets of class {cls.__name__}")
     super_fleet = object.__new__(cls)
-    super_fleet.models = models
-    for name in _CONCAT_SHARED[cls]:
+    super_fleet.models = [m for fleet in fleets for m in fleet.models]
+    for name in cls._CONCAT_ARRAYS:
         parts = [getattr(fleet, name) for fleet in fleets]
         merged = np.concatenate(parts)
         setattr(super_fleet, name, merged)
@@ -937,16 +806,5 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
             hi = lo + part.shape[0]
             setattr(fleet, name, merged[lo:hi])
             lo = hi
-    n = len(models)
-    if cls is TokenBucketFleet:
-        super_fleet._zeros = np.zeros(n, dtype=float)
-        super_fleet._f64_scratch = np.empty(n, dtype=float)
-        super_fleet._f64_scratch2 = np.empty(n, dtype=float)
-        super_fleet._bool_scratch = np.empty(n, dtype=bool)
-        super_fleet._bool_scratch2 = np.empty(n, dtype=bool)
-        super_fleet._horizon_out = np.empty(n, dtype=float)
-    elif cls is PerCoreQosFleet:
-        super_fleet._f64_scratch = np.empty(n, dtype=float)
-        super_fleet._bool_scratch = np.empty(n, dtype=bool)
-        super_fleet._bool_scratch2 = np.empty(n, dtype=bool)
+    super_fleet._alloc_scratch(super_fleet.n)
     return super_fleet

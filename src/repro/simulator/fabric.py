@@ -624,12 +624,14 @@ class Fabric:
     def _advance_flows(self, dt: float, limit_changed: bool) -> list[Flow]:
         """Flow-side half of :meth:`advance`: integrate and complete.
 
-        The batched multistream runner advances all cells' shapers in
-        one concatenated super-fleet call and then calls this per cell
-        with the cell's own ``dt`` and the reduced per-cell
-        limit-changed flag; the serial :meth:`advance` calls it with
-        its own fleet result.  Both paths run the same flow update,
-        compaction, and flow-bound cache maintenance.
+        Both paths reach the shapers through the same fleet
+        ``advance``: the serial :meth:`advance` calls it with a float
+        ``dt`` and passes its return value here; the batched
+        multistream runner calls it once on a concatenated super-fleet
+        with one ``dt`` per link, then calls this per cell with the
+        cell's own ``dt`` and its slice of the fleet's
+        ``changed_links`` reduced to one flag.  Both run the same flow
+        update, compaction, and flow-bound cache maintenance.
         """
         completed: list[Flow] = []
         n = self._n

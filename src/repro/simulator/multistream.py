@@ -21,9 +21,11 @@ live cells in lockstep rounds:
    egress rates, sliced back per cell for the (scalar-Python, bit-
    identical) horizon combine in
    :meth:`~repro.simulator.fabric.Fabric.horizon_with_shaper_bounds`;
-3. **one** ``advance_many`` call with a per-link ``dt`` vector — each
-   cell steps by *its own* event horizon; lockstep synchronizes
-   Python-level rounds, never simulated clocks;
+3. **one** ``advance`` call on the super-fleet with a per-link ``dt``
+   vector — each cell steps by *its own* event horizon; lockstep
+   synchronizes Python-level rounds, never simulated clocks.  When a
+   ceiling changed, the fleet's ``changed_links`` mask is reduced per
+   cell into each fabric's limit-changed flag;
 4. per cell: flow integration and the engine step epilogue.
 
 Per-cell floating-point arithmetic, RNG draw order, and event order
@@ -178,14 +180,14 @@ def run_cores(states: "Sequence[EventCore]") -> list:
             dt_cells[ci] = dt if dt > 0.0 else 0.0
         dt_buf[:] = dt_cells
         np.take(dt_buf, cell_of_link, out=dt_links)
-        changed_links = super_fleet.advance_many(dt_links, all_egress)
-        changed_cells = (
-            None
-            if changed_links is None
-            else np.logical_or.reduceat(
-                changed_links, offsets[:-1], out=changed_buf
+        # The same ``advance`` a serial fabric calls with a float dt,
+        # here with one dt per link; on a ceiling change, OR the
+        # fleet's per-link mask over each cell's slice of links.
+        changed_cells = None
+        if super_fleet.advance(dt_links, all_egress):
+            changed_cells = np.logical_or.reduceat(
+                super_fleet.changed_links, offsets[:-1], out=changed_buf
             ).tolist()
-        )
         still_active = []
         for ci in active:
             state = states[ci]

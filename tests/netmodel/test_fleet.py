@@ -406,9 +406,6 @@ class TestBuildFleet:
         TokenBucketFleet(adopted)
         assert isinstance(build_fleet(adopted), ScalarFleetAdapter)
         assert isinstance(build_fleet([]), ScalarFleetAdapter)
-        assert isinstance(
-            build_fleet(adopted, prefer_scalar=True), ScalarFleetAdapter
-        )
 
     def test_double_adoption_raises(self):
         models = [TokenBucketModel(p) for p in _TB_PARAMS]
@@ -426,16 +423,24 @@ class TestBuildFleet:
 
     def test_negative_dt_rejected_everywhere(self):
         for fleet in (
-            TokenBucketFleet([TokenBucketModel(_TB_PARAMS[0])]),
-            ConstantRateFleet([ConstantRateModel(1.0)]),
-            ResamplingFleet([UniformQuantileSamplingModel(_DIST, seed=0)]),
-            PerCoreQosFleet([PerCoreQosModel(cores=2, seed=0)]),
-            ScalarFleetAdapter([ConstantRateModel(1.0)]),
+            TokenBucketFleet([TokenBucketModel(_TB_PARAMS[0]) for _ in "ab"]),
+            ConstantRateFleet([ConstantRateModel(1.0) for _ in "ab"]),
+            ResamplingFleet(
+                [UniformQuantileSamplingModel(_DIST, seed=s) for s in (0, 1)]
+            ),
+            PerCoreQosFleet([PerCoreQosModel(cores=2, seed=s) for s in (0, 1)]),
+            ScalarFleetAdapter([ConstantRateModel(1.0) for _ in "ab"]),
         ):
+            before = fleet.limits().tolist()
             with pytest.raises(ValueError):
-                fleet.advance(-1.0, np.zeros(1))
+                fleet.advance(-1.0, np.zeros(2))
+            # One negative entry in a per-link dt array rejects the
+            # whole step before any link moves.
+            with pytest.raises(ValueError):
+                fleet.advance(np.array([0.5, -1.0]), np.ones(2))
             with pytest.raises(ValueError):
                 fleet.rest(-1.0)
+            assert fleet.limits().tolist() == before
 
 
 class TestAdapterIdentity:
@@ -459,3 +464,115 @@ class TestAdapterIdentity:
                     m.horizon(b) for m in scalars
                 ]
             _assert_state_equal(fleet, scalars)
+
+
+@st.composite
+def _bucket_params(draw, initial_budget_gbit=None):
+    """Random token-bucket constants with a reachable resume threshold."""
+    peak = draw(st.floats(min_value=1.0, max_value=25.0))
+    capacity = draw(st.floats(min_value=1.0, max_value=1000.0))
+    return TokenBucketParams(
+        peak_gbps=peak,
+        capped_gbps=draw(st.floats(min_value=0.1, max_value=peak)),
+        replenish_gbps=draw(st.floats(min_value=0.05, max_value=12.0)),
+        capacity_gbit=capacity,
+        initial_budget_gbit=initial_budget_gbit,
+        resume_threshold_gbit=draw(
+            st.floats(min_value=0.01, max_value=0.9 * capacity)
+        ),
+    )
+
+
+def _single_link_fleets(params):
+    """One 1-link fleet per parameter set, for float-``dt`` steps."""
+    return [TokenBucketFleet([TokenBucketModel(p)]) for p in params]
+
+
+class TestTokenBucketOracle:
+    """Token-bucket fleets against closed forms of the fluid bucket.
+
+    Each check runs in both ``advance`` forms: one N-link fleet stepped
+    with a per-link ``dt`` array, and N 1-link fleets stepped with
+    float ``dt``s.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.lists(_bucket_params(), min_size=1, max_size=6),
+        excess=st.lists(
+            st.floats(min_value=0.01, max_value=20.0), min_size=6, max_size=6
+        ),
+    )
+    def test_drain_from_full_takes_capacity_over_net_rate(self, params, excess):
+        n = len(params)
+        rates = np.array(
+            [p.replenish_gbps + x for p, x in zip(params, excess)]
+        )
+        want = [
+            p.capacity_gbit / (r - p.replenish_gbps)
+            for p, r in zip(params, rates.tolist())
+        ]
+        capped = [p.capped_gbps for p in params]
+        fleet = TokenBucketFleet([TokenBucketModel(p) for p in params])
+        horizons = fleet.horizons(rates).copy()
+        np.testing.assert_allclose(horizons, want, rtol=1e-12, atol=0.0)
+        fleet.advance(horizons, rates)
+        assert fleet.limits().tolist() == capped
+        assert fleet.budgets().tolist() == [0.0] * n
+        for i, single in enumerate(_single_link_fleets(params)):
+            rate = rates[i : i + 1]
+            [horizon] = single.horizons(rate).tolist()
+            assert horizon == pytest.approx(want[i], rel=1e-12, abs=0.0)
+            # Stopping short of the horizon keeps the peak rate.
+            single.advance(0.999 * horizon, rate)
+            assert single.limits().tolist() == [params[i].peak_gbps]
+            single.advance(0.001 * horizon, rate)
+            assert single.limits().tolist() == [capped[i]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.lists(_bucket_params(0.0), min_size=1, max_size=6))
+    def test_idle_refill_from_empty_takes_resume_over_replenish(self, params):
+        n = len(params)
+        idle = np.zeros(n)
+        want = [p.resume_threshold_gbit / p.replenish_gbps for p in params]
+        peak = [p.peak_gbps for p in params]
+        fleet = TokenBucketFleet([TokenBucketModel(p) for p in params])
+        assert fleet.limits().tolist() == [p.capped_gbps for p in params]
+        horizons = fleet.horizons(idle).copy()
+        np.testing.assert_allclose(horizons, want, rtol=1e-12, atol=0.0)
+        fleet.advance(horizons, idle)
+        assert fleet.limits().tolist() == peak
+        for i, single in enumerate(_single_link_fleets(params)):
+            [horizon] = single.horizons(idle[:1]).tolist()
+            assert horizon == pytest.approx(want[i], rel=1e-12, abs=0.0)
+            single.rest(0.99 * horizon)
+            assert single.limits().tolist() == [params[i].capped_gbps]
+            single.rest(0.01 * horizon)
+            assert single.limits().tolist() == [peak[i]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.lists(_bucket_params(), min_size=1, max_size=6),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.floats(min_value=0.0, max_value=400.0),
+                st.floats(min_value=0.0, max_value=30.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_budgets_stay_empty_or_above_eps_and_within_capacity(
+        self, params, ops
+    ):
+        n = len(params)
+        capacity = np.array([p.capacity_gbit for p in params])
+        fleet = TokenBucketFleet([TokenBucketModel(p) for p in params])
+        spread = np.array([((i % 3) + 1) / 2 for i in range(n)])
+        for per_link, dt, rate in ops:
+            rates = rate * spread[::-1]
+            fleet.advance(dt * spread if per_link else dt, rates)
+            budgets = fleet.budgets()
+            assert np.all((budgets == 0.0) | (budgets > 1e-9))
+            assert np.all(budgets <= capacity)

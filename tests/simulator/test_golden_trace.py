@@ -112,10 +112,12 @@ def test_golden_trace_matches_pre_refactor_engine():
 
 
 def test_golden_trace_matches_through_scalar_adapter_path():
-    """The per-model reference loop reproduces the same pinned trace."""
-    snapshot = _snapshot(_run_reference_stream(fleet_mode="scalar"))
+    """The per-model reference loop reproduces the same pinned trace,
+    in the same number of event steps as the vectorized fleet."""
+    scalar = _run_reference_stream(fleet_mode="scalar")
     pinned = json.loads(FIXTURE.read_text())
-    assert snapshot == pinned
+    assert _snapshot(scalar) == pinned
+    assert scalar.n_steps == _run_reference_stream().n_steps
 
 
 def test_golden_trace_unchanged_with_recorder_attached():

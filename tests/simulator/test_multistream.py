@@ -19,8 +19,10 @@ from repro.netmodel import (
     TokenBucketParams,
 )
 from repro.netmodel.fleet import (
+    ConstantRateFleet,
     PerCoreQosFleet,
     ResamplingFleet,
+    ScalarFleetAdapter,
     TokenBucketFleet,
     build_fleet,
     concat_fleets,
@@ -37,6 +39,15 @@ _BUCKET = TokenBucketParams(
     replenish_gbps=0.95,
     capacity_gbit=60.0,
     resume_threshold_gbit=10.0,
+)
+
+#: Small bucket that flips tiers both ways within a few seconds.
+_OSC_BUCKET = TokenBucketParams(
+    peak_gbps=10.0,
+    capped_gbps=1.0,
+    replenish_gbps=1.05,
+    capacity_gbit=8.0,
+    resume_threshold_gbit=1.0,
 )
 
 
@@ -198,62 +209,80 @@ class TestConcatFleets:
         fleets[1]._sync_thresholds()
         assert np.shares_memory(fleets[1]._flip_threshold, sup._flip_threshold)
 
-    def test_advance_many_matches_scalar_advance_per_cell(self):
-        fleets = [self._bucket_fleet(2), self._bucket_fleet(3)]
-        ref = [self._bucket_fleet(2), self._bucket_fleet(3)]
-        sup = concat_fleets(fleets)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            dts = rng.uniform(0.0, 3.0, size=2)
-            sends = rng.uniform(0.0, 6.0, size=5)
-            changed = sup.advance_many(
-                np.repeat(dts, [2, 3]), sends
-            )
-            ref_changed = [
-                ref[0].advance(float(dts[0]), sends[:2]),
-                ref[1].advance(float(dts[1]), sends[2:]),
-            ]
-            if changed is None:
-                assert ref_changed == [False, False]
-            else:
-                assert [bool(changed[:2].any()), bool(changed[2:].any())] == (
-                    ref_changed
-                )
-            assert fleets[0]._budget.tolist() == ref[0]._budget.tolist()
-            assert fleets[1]._budget.tolist() == ref[1]._budget.tolist()
-            assert fleets[0]._throttled.tolist() == ref[0]._throttled.tolist()
-            assert fleets[1]._throttled.tolist() == ref[1]._throttled.tolist()
-
-    def test_resampling_fleet_concat(self):
+    def test_per_link_dt_matches_float_dt_twins(self):
+        # Concatenate two members of unequal size, step the super-fleet
+        # with one dt per link (some zero) and each member's twin with
+        # that cell's float dt: every class must agree byte for byte,
+        # and the per-cell OR of ``changed_links`` must equal each
+        # twin's return value.
         from repro.netmodel.distributions import QuantileDistribution
 
         dist = QuantileDistribution(
             probs=(0.01, 0.5, 0.99), values=(4.0, 8.0, 10.0)
         )
 
-        def fleet(seed):
-            return build_fleet(
-                [
-                    UniformQuantileSamplingModel(
-                        dist, interval_s=7.0, seed=seed + i
-                    )
-                    for i in range(2)
-                ]
+        def resampling(seed):
+            return UniformQuantileSamplingModel(
+                dist, interval_s=4.0 + seed % 5, seed=seed
             )
 
-        fleets = [fleet(0), fleet(10)]
-        ref = [fleet(0), fleet(10)]
-        assert isinstance(fleets[0], ResamplingFleet)
-        sup = concat_fleets(fleets)
-        rng = np.random.default_rng(5)
-        sends = np.zeros(4)
-        for _ in range(30):
-            dts = rng.uniform(0.0, 9.0, size=2)
-            sup.advance_many(np.repeat(dts, [2, 2]), sends)
-            ref[0].advance(float(dts[0]), sends[:2])
-            ref[1].advance(float(dts[1]), sends[2:])
-            assert fleets[0].limits().tolist() == ref[0].limits().tolist()
-            assert fleets[1].limits().tolist() == ref[1].limits().tolist()
+        def percore(seed):
+            return PerCoreQosModel(
+                cores=4, interval_s=3.0 + seed % 4, idle_reset_s=2.0, seed=seed
+            )
+
+        mixed = (lambda s: TokenBucketModel(_OSC_BUCKET), resampling, percore)
+        factories = {
+            TokenBucketFleet: lambda s: TokenBucketModel(_OSC_BUCKET),
+            ConstantRateFleet: lambda s: ConstantRateModel(4.0 + s % 3),
+            ResamplingFleet: resampling,
+            PerCoreQosFleet: percore,
+            ScalarFleetAdapter: lambda s: mixed[s % 3](s),
+        }
+        sizes = [2, 3]
+        cuts = [0, 2, 5]
+        for cls, factory in factories.items():
+
+            def member(k):
+                return cls([factory(10 * k + i) for i in range(sizes[k])])
+
+            fleets = [member(0), member(1)]
+            twins = [member(0), member(1)]
+            sup = concat_fleets(fleets)
+            assert type(sup) is cls
+            rng = np.random.default_rng(4)
+            seen_change = False
+            for _ in range(120):
+                dts = rng.uniform(0.0, 3.0, size=2)
+                dts[rng.random(2) < 0.25] = 0.0
+                sends = rng.uniform(0.0, 6.0, size=5)
+                sends[rng.random(5) < 0.3] = 0.0
+                parts = [sends[cuts[k] : cuts[k + 1]] for k in range(2)]
+                assert sup.horizons(sends).tobytes() == b"".join(
+                    twin.horizons(part).tobytes()
+                    for twin, part in zip(twins, parts)
+                ), cls.__name__
+                changed = sup.advance(np.repeat(dts, sizes), sends)
+                cells = [False, False]
+                if changed:
+                    cells = np.logical_or.reduceat(
+                        sup.changed_links, cuts[:-1]
+                    ).tolist()
+                twin_changed = [
+                    twin.advance(float(dt), part)
+                    for twin, dt, part in zip(twins, dts, parts)
+                ]
+                assert cells == twin_changed, cls.__name__
+                seen_change = seen_change or changed
+                for fleet, twin in zip(fleets, twins):
+                    assert fleet.limits().tobytes() == twin.limits().tobytes()
+                    budgets = fleet.budgets()
+                    want = twin.budgets()
+                    if want is None:
+                        assert budgets is None, cls.__name__
+                    else:
+                        assert budgets.tobytes() == want.tobytes(), cls.__name__
+            assert seen_change or cls is ConstantRateFleet, cls.__name__
 
     def test_mixed_classes_rejected(self):
         bucket = self._bucket_fleet(2)

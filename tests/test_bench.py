@@ -34,15 +34,6 @@ class TestBenchmarks:
         assert result["makespan_s"] > 0
         assert result["samples"] > 0
 
-    def test_stream_scalar_fleet_path_is_bit_exact(self):
-        fleet = bench_stream(n_nodes=4, n_jobs=2, data_scale=0.05)
-        scalar = bench_stream(
-            n_nodes=4, n_jobs=2, data_scale=0.05, scalar_fleet=True
-        )
-        assert scalar["checksum"] == fleet["checksum"]
-        assert scalar["n_steps"] == fleet["n_steps"]
-        assert scalar["makespan_s"] == fleet["makespan_s"]
-
     def test_shaper_case_compares_paths_bit_exactly(self):
         result = bench_shaper_fleet_vs_scalar(n_nodes=16, duration_s=60.0)
         assert result["checksum"] > 0

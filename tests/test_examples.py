@@ -96,3 +96,11 @@ def test_fault_tolerant_campaign(capsys):
     assert "quarantined: ['cell-" in out
     assert "partial merge kept 6/8" in out
     assert "store verify" in out and "CORRUPT" not in out
+
+
+def test_multistream_campaign(capsys):
+    # The example itself asserts batched == serial, byte for byte.
+    out = run_example("multistream_campaign.py", capsys)
+    assert "serial vs batched" in out
+    assert "byte-identical results" in out
+    assert "per-cell results identical to the serial campaign" in out
