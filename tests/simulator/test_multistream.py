@@ -209,6 +209,64 @@ class TestConcatFleets:
         fleets[1]._sync_thresholds()
         assert np.shares_memory(fleets[1]._flip_threshold, sup._flip_threshold)
 
+    def test_advance_many_matches_scalar_advance_per_cell(self):
+        # The batched driver's per-cell step: ``advance`` with one dt per
+        # link on the super-fleet equals a float-dt ``advance`` per cell.
+        fleets = [self._bucket_fleet(2), self._bucket_fleet(3)]
+        ref = [self._bucket_fleet(2), self._bucket_fleet(3)]
+        sup = concat_fleets(fleets)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            dts = rng.uniform(0.0, 3.0, size=2)
+            sends = rng.uniform(0.0, 6.0, size=5)
+            changed = sup.advance(np.repeat(dts, [2, 3]), sends)
+            ref_changed = [
+                ref[0].advance(float(dts[0]), sends[:2]),
+                ref[1].advance(float(dts[1]), sends[2:]),
+            ]
+            if not changed:
+                assert ref_changed == [False, False]
+            else:
+                links = sup.changed_links
+                assert [bool(links[:2].any()), bool(links[2:].any())] == (
+                    ref_changed
+                )
+            assert fleets[0]._budget.tolist() == ref[0]._budget.tolist()
+            assert fleets[1]._budget.tolist() == ref[1]._budget.tolist()
+            assert fleets[0]._throttled.tolist() == ref[0]._throttled.tolist()
+            assert fleets[1]._throttled.tolist() == ref[1]._throttled.tolist()
+
+    def test_resampling_fleet_concat(self):
+        from repro.netmodel.distributions import QuantileDistribution
+
+        dist = QuantileDistribution(
+            probs=(0.01, 0.5, 0.99), values=(4.0, 8.0, 10.0)
+        )
+
+        def fleet(seed):
+            return build_fleet(
+                [
+                    UniformQuantileSamplingModel(
+                        dist, interval_s=7.0, seed=seed + i
+                    )
+                    for i in range(2)
+                ]
+            )
+
+        fleets = [fleet(0), fleet(10)]
+        ref = [fleet(0), fleet(10)]
+        assert isinstance(fleets[0], ResamplingFleet)
+        sup = concat_fleets(fleets)
+        rng = np.random.default_rng(5)
+        sends = np.zeros(4)
+        for _ in range(30):
+            dts = rng.uniform(0.0, 9.0, size=2)
+            sup.advance(np.repeat(dts, [2, 2]), sends)
+            ref[0].advance(float(dts[0]), sends[:2])
+            ref[1].advance(float(dts[1]), sends[2:])
+            assert fleets[0].limits().tolist() == ref[0].limits().tolist()
+            assert fleets[1].limits().tolist() == ref[1].limits().tolist()
+
     def test_per_link_dt_matches_float_dt_twins(self):
         # Concatenate two members of unequal size, step the super-fleet
         # with one dt per link (some zero) and each member's twin with
