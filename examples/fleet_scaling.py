@@ -18,7 +18,7 @@ collapse with N while the fleet column barely moves.
 Run with:  python examples/fleet_scaling.py
 """
 
-from repro.bench.hotpath import _run_shaper_sweep
+from repro.bench import bench_shaper_fleet_vs_scalar
 
 DURATION_S = 600.0
 MAX_STEP_S = 0.1
@@ -31,34 +31,21 @@ def main() -> None:
         f"{'speedup':>8s}"
     )
     for n_nodes in (16, 32, 64, 128, 256):
-        fleet = _run_shaper_sweep(
-            n_nodes, DURATION_S, MAX_STEP_S, scalar_fleet=False
-        )
-        scalar = _run_shaper_sweep(
-            n_nodes, DURATION_S, MAX_STEP_S, scalar_fleet=True
-        )
-        # Bit-exact by construction: both paths must walk the same
-        # trajectory, or the speedup is between different simulations.
-        assert fleet["checksum"] == scalar["checksum"]
-        assert fleet["n_steps"] == scalar["n_steps"]
+        # Runs the sweep through both paths and refuses to report a
+        # speedup unless they walk the same trajectory (checksum and
+        # step count), so the ratio compares one simulation.
+        row = bench_shaper_fleet_vs_scalar(n_nodes, DURATION_S, MAX_STEP_S)
         fleet_rate = (
-            fleet["n_steps"] / fleet["wall_s"]
-            if fleet["wall_s"] > 0
-            else float("inf")
+            row["n_steps"] / row["wall_s"] if row["wall_s"] > 0 else float("inf")
         )
         scalar_rate = (
-            scalar["n_steps"] / scalar["wall_s"]
-            if scalar["wall_s"] > 0
-            else float("inf")
-        )
-        speedup = (
-            scalar["wall_s"] / fleet["wall_s"]
-            if fleet["wall_s"] > 0
+            row["n_steps"] / row["scalar_wall_s"]
+            if row["scalar_wall_s"] > 0
             else float("inf")
         )
         print(
             f"{n_nodes:6d} {fleet_rate:14.0f} {scalar_rate:15.0f} "
-            f"{speedup:7.2f}x"
+            f"{row['fleet_speedup']:7.2f}x"
         )
     print(
         "\nThe scalar loop pays ~3 Python calls per node per step; the"

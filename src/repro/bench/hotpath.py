@@ -1,6 +1,6 @@
 """The canonical simulator hot-path benchmarks.
 
-Two workloads bracket the fluid-fabric core:
+Nine cases bracket the fluid-fabric core:
 
 * ``stream_16x200`` — a 16-node, 200-job multi-tenant Poisson stream
   under the fair scheduler with token-bucket shapers: the shape every
@@ -15,6 +15,16 @@ Two workloads bracket the fluid-fabric core:
 * ``waterfill_10k`` — 10,000 simultaneous flows across 64 nodes,
   timing :meth:`~repro.simulator.fabric.Fabric.compute_rates` alone:
   the max-min allocation kernel in isolation.
+* ``shaper_64_tb`` / ``percore_64`` — 64 shaped links (tier-oscillating
+  token buckets / GCE per-core QoS) under a few never-completing
+  flows, so each step's cost is the shaper layer; the same sweep runs
+  through the vectorized fleet and the scalar-adapter loop, and
+  ``fleet_speedup`` is the ratio.
+* ``multistream_32cell`` — 32 tiny stream cells run serially and
+  through the batched multi-stream runner; ``batch_speedup`` is the
+  ratio and the per-cell results must be byte-identical.
+* ``campaign_overhead`` — a scenario campaign whose cells are all
+  cache hits: the per-cell cost of the runtime orchestration layer.
 * ``obs_overhead`` — the stream workload bare vs. under a full
   :class:`~repro.obs.recorder.ObsRecorder`, proving checksum equality
   with observability attached and tracking what full metrics + span
@@ -154,18 +164,13 @@ _OSC_BUCKET = dict(
 )
 
 
-def _run_shaper_sweep(
-    n_nodes: int, duration_s: float, max_step_s: float, scalar_fleet: bool
-) -> dict:
-    """Integrate never-completing pair flows through oscillating buckets.
+def _oscillating_buckets(n_nodes: int) -> list[TokenBucketModel]:
+    """Tier-oscillating token buckets with staggered sender budgets.
 
-    One flow per group of 8 nodes keeps the water-filling trivial, so
-    the per-step cost is the shaper layer itself: every one of the
-    ``n_nodes`` buckets must be gathered, horizon-bounded, and advanced
-    each step — the O(N) scalar loop the fleets replace.  Sender
-    budgets are staggered in two phase groups whose members sit a float
-    residue apart (the near-tie fragmentation pattern event-horizon
-    coalescing absorbs).
+    Senders (one per group of 8 nodes) start in two phase groups whose
+    members sit a float residue apart (the near-tie fragmentation
+    pattern event-horizon coalescing absorbs); the rest idle at a full
+    bucket.
     """
     models = []
     n_senders = 0
@@ -177,6 +182,34 @@ def _run_shaper_sweep(
             start = None  # full bucket, idles at capacity
         params = TokenBucketParams(**_OSC_BUCKET, initial_budget_gbit=start)
         models.append(TokenBucketModel(params))
+    return models
+
+
+def _staggered_percore(n_nodes: int) -> list[PerCoreQosModel]:
+    """GCE QoS links whose staggered resample intervals desynchronize
+    the crossings, so every event step is small."""
+    return [
+        PerCoreQosModel(
+            cores=4, interval_s=2.0 + 0.13 * (i % 8), seed=1000 + i
+        )
+        for i in range(n_nodes)
+    ]
+
+
+def _run_shaper_sweep(
+    models: list, duration_s: float, max_step_s: float, scalar_fleet: bool
+) -> dict:
+    """Integrate never-completing pair flows through ``models``.
+
+    One flow per group of 8 nodes keeps the water-filling trivial, so
+    the per-step cost is the shaper layer itself: every node's model
+    must be gathered, horizon-bounded, and advanced each step — the
+    O(N) scalar loop the fleets replace.  ``scalar_fleet`` drives the
+    models through :class:`ScalarFleetAdapter` instead of their
+    vectorized fleet.  The checksum adds the shapers' token budgets
+    when the fleet exposes them, else their ceilings.
+    """
+    n_nodes = len(models)
     egress = ScalarFleetAdapter(models) if scalar_fleet else models
     fabric = Fabric(egress, [10.0] * n_nodes)
     for i in range(0, n_nodes - 1, 8):
@@ -194,12 +227,53 @@ def _run_shaper_sweep(
         t += dt
         steps += 1
     wall_s = time.perf_counter() - start_t
-    budgets = fabric.fleet.budgets()
-    assert budgets is not None
+    state = fabric.fleet.budgets()
+    if state is None:
+        state = fabric.fleet.limits()
     checksum = round(
-        float(np.sum(fabric.node_egress_rates()) + np.sum(budgets)), 6
+        float(np.sum(fabric.node_egress_rates()) + np.sum(state)), 6
     )
     return {"wall_s": round(wall_s, 4), "n_steps": steps, "checksum": checksum}
+
+
+def _fleet_vs_scalar(
+    build: Callable[[int], list],
+    n_nodes: int,
+    duration_s: float,
+    max_step_s: float,
+) -> dict:
+    """Run one sweep through the vectorized fleet and the scalar adapter.
+
+    Both runs build fresh models with ``build(n_nodes)``.  Matching
+    checksums and step counts prove the two paths compute the same
+    trajectory, so ``fleet_speedup`` is the pure fleet win.
+    """
+    fleet_run = _run_shaper_sweep(
+        build(n_nodes), duration_s, max_step_s, scalar_fleet=False
+    )
+    scalar_run = _run_shaper_sweep(
+        build(n_nodes), duration_s, max_step_s, scalar_fleet=True
+    )
+    if scalar_run["checksum"] != fleet_run["checksum"]:
+        raise AssertionError(
+            "fleet and scalar-adapter paths diverged: "
+            f"{fleet_run['checksum']} != {scalar_run['checksum']}"
+        )
+    if scalar_run["n_steps"] != fleet_run["n_steps"]:
+        raise AssertionError(
+            "fleet and scalar-adapter paths stepped differently: "
+            f"{fleet_run['n_steps']} != {scalar_run['n_steps']}"
+        )
+    row = dict(fleet_run)
+    row["n_nodes"] = n_nodes
+    row["duration_s"] = duration_s
+    row["scalar_wall_s"] = scalar_run["wall_s"]
+    row["fleet_speedup"] = (
+        round(scalar_run["wall_s"] / fleet_run["wall_s"], 2)
+        if fleet_run["wall_s"] > 0
+        else float("inf")
+    )
+    return row
 
 
 def bench_shaper_fleet_vs_scalar(
@@ -212,82 +286,13 @@ def bench_shaper_fleet_vs_scalar(
     A 64-node ring of never-completing flows driven through
     tier-oscillating token buckets: every step's cost is the shaper
     layer (limit gathering, horizon bounding, advance accounting), the
-    workload PR 3's fleets vectorize.  The identical sweep runs through
-    the vectorized :class:`~repro.netmodel.fleet.TokenBucketFleet` and
-    the per-model :class:`~repro.netmodel.fleet.ScalarFleetAdapter`;
-    matching checksums prove the paths compute the same trajectory and
-    ``fleet_speedup`` is the pure fleet win.
+    workload :class:`~repro.netmodel.fleet.TokenBucketFleet` vectorizes,
+    timed against the per-model
+    :class:`~repro.netmodel.fleet.ScalarFleetAdapter`.
     """
-    fleet_run = _run_shaper_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=False
+    return _fleet_vs_scalar(
+        _oscillating_buckets, n_nodes, duration_s, max_step_s
     )
-    scalar_run = _run_shaper_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=True
-    )
-    if scalar_run["checksum"] != fleet_run["checksum"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths diverged: "
-            f"{fleet_run['checksum']} != {scalar_run['checksum']}"
-        )
-    if scalar_run["n_steps"] != fleet_run["n_steps"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths stepped differently: "
-            f"{fleet_run['n_steps']} != {scalar_run['n_steps']}"
-        )
-    row = dict(fleet_run)
-    row["n_nodes"] = n_nodes
-    row["duration_s"] = duration_s
-    row["scalar_wall_s"] = scalar_run["wall_s"]
-    row["fleet_speedup"] = (
-        round(scalar_run["wall_s"] / fleet_run["wall_s"], 2)
-        if fleet_run["wall_s"] > 0
-        else float("inf")
-    )
-    return row
-
-
-def _run_percore_sweep(
-    n_nodes: int, duration_s: float, max_step_s: float, scalar_fleet: bool
-) -> dict:
-    """Integrate never-completing pair flows through GCE QoS links.
-
-    The per-core QoS models redraw their efficiency on a per-node
-    resample clock; staggering the intervals desynchronizes the
-    crossings so every event step is small and the per-step cost is the
-    QoS layer itself (limit gathering, interval-crossing bookkeeping,
-    quantile redraws) — the loop :class:`PerCoreQosFleet` vectorizes.
-    One flow per group of 8 nodes keeps the water-filling trivial.
-    """
-    models = [
-        PerCoreQosModel(
-            cores=4, interval_s=2.0 + 0.13 * (i % 8), seed=1000 + i
-        )
-        for i in range(n_nodes)
-    ]
-    egress = ScalarFleetAdapter(models) if scalar_fleet else models
-    fabric = Fabric(egress, [10.0] * n_nodes)
-    for i in range(0, n_nodes - 1, 8):
-        fabric.add_flow(i, i + 1, 1e15)
-    t = 0.0
-    steps = 0
-    start_t = time.perf_counter()
-    while t < duration_s:
-        fabric.compute_rates()
-        remaining = duration_s - t
-        dt = min(fabric.horizon(), max_step_s, remaining)
-        if dt <= 0.0:
-            dt = min(1e-6, remaining)
-        fabric.advance(dt)
-        t += dt
-        steps += 1
-    wall_s = time.perf_counter() - start_t
-    checksum = round(
-        float(
-            np.sum(fabric.node_egress_rates()) + np.sum(fabric.fleet.limits())
-        ),
-        6,
-    )
-    return {"wall_s": round(wall_s, 4), "n_steps": steps, "checksum": checksum}
 
 
 def bench_percore_fleet_vs_scalar(
@@ -298,40 +303,16 @@ def bench_percore_fleet_vs_scalar(
     """The GCE QoS case: PerCoreQosFleet vs scalar-adapter sweeps.
 
     64 per-core QoS links with staggered resample intervals drive a
-    dense event-step schedule whose cost is the QoS model layer.  The
-    identical sweep runs through the vectorized
-    :class:`~repro.netmodel.fleet.PerCoreQosFleet` and the per-model
-    :class:`~repro.netmodel.fleet.ScalarFleetAdapter`; matching
-    checksums prove the two paths draw the same efficiency sequences
-    (per-node RNG streams are fleet-independent by construction) and
-    ``fleet_speedup`` is the pure vectorization win.
+    dense event-step schedule whose cost is the QoS model layer (limit
+    gathering, interval-crossing bookkeeping, quantile redraws), timed
+    through :class:`~repro.netmodel.fleet.PerCoreQosFleet` and the
+    per-model :class:`~repro.netmodel.fleet.ScalarFleetAdapter`.
+    Per-node RNG streams are fleet-independent by construction, so the
+    two paths draw the same efficiency sequences.
     """
-    fleet_run = _run_percore_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=False
+    return _fleet_vs_scalar(
+        _staggered_percore, n_nodes, duration_s, max_step_s
     )
-    scalar_run = _run_percore_sweep(
-        n_nodes, duration_s, max_step_s, scalar_fleet=True
-    )
-    if scalar_run["checksum"] != fleet_run["checksum"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths diverged: "
-            f"{fleet_run['checksum']} != {scalar_run['checksum']}"
-        )
-    if scalar_run["n_steps"] != fleet_run["n_steps"]:
-        raise AssertionError(
-            "fleet and scalar-adapter paths stepped differently: "
-            f"{fleet_run['n_steps']} != {scalar_run['n_steps']}"
-        )
-    row = dict(fleet_run)
-    row["n_nodes"] = n_nodes
-    row["duration_s"] = duration_s
-    row["scalar_wall_s"] = scalar_run["wall_s"]
-    row["fleet_speedup"] = (
-        round(scalar_run["wall_s"] / fleet_run["wall_s"], 2)
-        if fleet_run["wall_s"] > 0
-        else float("inf")
-    )
-    return row
 
 
 #: Shaper for the multi-stream cells: a small, oscillating bucket
@@ -904,6 +885,9 @@ def check_results(
     something different), or whose wall time exceeds ``wall_tolerance``
     times the recorded wall time (performance regression).  Benchmarks
     missing from the reference are skipped — they gate once recorded.
+    Reference rows missing from ``results`` are not reported here, so
+    one case can be gated alone; :func:`run_check` reports the rows the
+    suite no longer runs.
     """
     failures: list[str] = []
     ref_results = (reference or {}).get("results") or {}
@@ -948,6 +932,8 @@ def run_check(
     the ledger itself is never modified.  This is the regression gate
     CI wires in: checksum drift always fails, wall-time regressions
     fail beyond ``wall_tolerance`` (relax it on noisy shared runners).
+    A reference row that no suite case produces (the case was renamed or
+    dropped) fails too, so it cannot silently stop gating.
     """
     import sys
 
@@ -969,6 +955,11 @@ def run_check(
     if store is not None:
         record_provenance(results, store)
     failures = check_results(results, reference, wall_tolerance=wall_tolerance)
+    failures += [
+        f"{name}: recorded in the {section!r} reference but no suite case "
+        "produces it (renamed or dropped?); re-record the ledger"
+        for name in sorted(set(reference.get("results") or {}) - set(results))
+    ]
     if failures:
         for failure in failures:
             print(f"BENCH CHECK FAILED: {failure}", file=sys.stderr)

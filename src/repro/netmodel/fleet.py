@@ -26,11 +26,15 @@ super-fleet, see :func:`concat_fleets`).  The body is elementwise in
 ``dt``, so a scalar step broadcasts to the very operations the array
 form performs per link and both forms are bit-exact.
 
+Only the per-step operations are batched.  The between-repetitions
+cold paths, :meth:`~LinkModelFleet.rest` and
+:meth:`~LinkModelFleet.reset`, call each adopted model's own scalar
+method, which writes through its view into the fleet arrays.
+
 Five implementations:
 
-* :class:`TokenBucketFleet` — flat budget/capacity/fill/tier arrays,
-  vectorized net-fill accounting and an analytic batched idle
-  ``rest`` (all Amazon-style shapers);
+* :class:`TokenBucketFleet` — flat budget/capacity/fill/tier arrays
+  and vectorized net-fill accounting (all Amazon-style shapers);
 * :class:`ConstantRateFleet` — stateless fixed capacities;
 * :class:`ResamplingFleet` — vectorizes the interval clockwork of
   :class:`~repro.netmodel.stochastic.UniformQuantileSamplingModel` /
@@ -57,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.netmodel.base import _MAX_REST_STEPS, ConstantRateModel, LinkModel
+from repro.netmodel.base import ConstantRateModel, LinkModel
 from repro.netmodel.percore import PerCoreQosModel
 from repro.netmodel.stochastic import (
     Ar1QuantileModel,
@@ -118,6 +122,37 @@ class LinkModelFleet(ABC):
         """Allocate the per-fleet buffers for ``n`` links."""
         self.changed_links = np.zeros(n, dtype=bool)
 
+    def _adopt(
+        self,
+        models: Sequence[LinkModel],
+        kinds: tuple[type, ...],
+        state: dict[str, tuple[str, type]],
+    ) -> None:
+        """Take ``models`` over as views into this fleet's arrays.
+
+        Each model must be exactly one of ``kinds`` (a subclass may
+        change the dynamics the fleet vectorizes) and not yet adopted by
+        another fleet.  ``state`` maps each hot-state array to the model
+        attribute that holds its value before adoption, plus the array
+        dtype.  Afterwards every model reads and writes that state
+        through ``_fleet``/``_fleet_index``.
+        """
+        models = list(models)
+        for model in models:
+            if type(model) not in kinds:
+                names = " / ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"not a {names}: {model!r}")
+            if model._fleet is not None:
+                raise ValueError("model already adopted by another fleet")
+        self.models = models
+        for name, (local, dtype) in state.items():
+            values = [getattr(model, local) for model in models]
+            setattr(self, name, np.array(values, dtype=dtype))
+        self._alloc_scratch(len(models))
+        for index, model in enumerate(models):
+            model._fleet = self
+            model._fleet_index = index
+
     @property
     def n(self) -> int:
         """Number of links in the fleet."""
@@ -170,13 +205,26 @@ class LinkModelFleet(ABC):
             hook(np.flatnonzero(changed), self.limits())
         return True
 
-    @abstractmethod
     def rest(self, duration_s: float) -> None:
-        """Idle every link for ``duration_s`` (buckets refill)."""
+        """Idle every link for ``duration_s`` (buckets refill).
 
-    @abstractmethod
+        Each model rests through its own scalar
+        :meth:`~repro.netmodel.base.LinkModel.rest`; an adopted model
+        writes straight into the fleet arrays.  Resting never fires
+        :attr:`transition_hook`: it is not a simulated step, and
+        :func:`~repro.simulator.engine.rest_fabric` invalidates the
+        fabric's rates itself.
+        """
+        if duration_s < 0:
+            raise ValueError(f"duration must be non-negative, got {duration_s}")
+        for model in self.models:
+            model.rest(duration_s)
+
     def reset(self) -> None:
-        """Restore every link's pristine initial state."""
+        """Restore every link's pristine initial state (each model's
+        own :meth:`~repro.netmodel.base.LinkModel.reset`)."""
+        for model in self.models:
+            model.reset()
 
     def budgets(self) -> np.ndarray | None:
         """Per-link token budgets (Gbit), or None when not exposed.
@@ -241,14 +289,6 @@ class ScalarFleetAdapter(LinkModelFleet):
                 changed[index] = True
         return self._report(changed)
 
-    def rest(self, duration_s: float) -> None:
-        for model in self.models:
-            model.rest(duration_s)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
-
     def budgets(self) -> np.ndarray | None:
         if all(hasattr(m, "budget_gbit") for m in self.models):
             return np.array([m.budget_gbit for m in self.models], dtype=float)
@@ -259,10 +299,10 @@ class TokenBucketFleet(LinkModelFleet):
     """Struct-of-arrays token buckets (possibly heterogeneous params).
 
     Budgets and throttled flags live in flat arrays; the vectorized
-    net-fill accounting in :meth:`advance` and the analytic batched
-    :meth:`rest` perform the same elementwise float operations as the
-    scalar :class:`~repro.netmodel.token_bucket.TokenBucketModel`
-    methods, so fleet and scalar paths are bit-exact.
+    net-fill accounting in :meth:`advance` performs the same
+    elementwise float operations as the scalar
+    :meth:`~repro.netmodel.token_bucket.TokenBucketModel.advance`, so
+    fleet and scalar paths are bit-exact.
     """
 
     _CONCAT_ARRAYS = (
@@ -271,8 +311,6 @@ class TokenBucketFleet(LinkModelFleet):
         "_replenish",
         "_capacity",
         "_resume",
-        "_reset_budget",
-        "_reset_throttled",
         "_resume_minus_eps",
         "_tier_differs",
         "_budget",
@@ -281,14 +319,15 @@ class TokenBucketFleet(LinkModelFleet):
     )
 
     def __init__(self, models: Sequence[TokenBucketModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) is not TokenBucketModel:
-                raise TypeError(f"not a TokenBucketModel: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
-        params = [m.params for m in models]
+        self._adopt(
+            models,
+            (TokenBucketModel,),
+            {
+                "_budget": ("_budget_local", float),
+                "_throttled": ("_throttled_local", bool),
+            },
+        )
+        params = [m.params for m in self.models]
         self._peak = np.array([p.peak_gbps for p in params], dtype=float)
         self._capped = np.array([p.capped_gbps for p in params], dtype=float)
         self._replenish = np.array(
@@ -297,18 +336,6 @@ class TokenBucketFleet(LinkModelFleet):
         self._capacity = np.array([p.capacity_gbit for p in params], dtype=float)
         self._resume = np.array(
             [p.resume_threshold_gbit for p in params], dtype=float
-        )
-        # Pristine state, mirroring TokenBucketModel.reset().
-        starts = [
-            p.capacity_gbit if p.initial_budget_gbit is None else p.initial_budget_gbit
-            for p in params
-        ]
-        self._reset_budget = np.minimum(np.array(starts, dtype=float), self._capacity)
-        self._reset_throttled = self._reset_budget <= 0.0
-        # Adopt: move current scalar state into the arrays.
-        self._budget = np.array([m._budget_local for m in models], dtype=float)
-        self._throttled = np.array(
-            [m._throttled_local for m in models], dtype=bool
         )
         # Precomputed constants for the per-step hot path.
         self._resume_minus_eps = self._resume - _EMPTY_EPS_GBIT
@@ -321,16 +348,11 @@ class TokenBucketFleet(LinkModelFleet):
         self._flip_threshold = np.where(
             self._throttled, self._resume_minus_eps, _EMPTY_EPS_GBIT
         )
-        self._alloc_scratch(len(models))
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
 
     def _alloc_scratch(self, n: int) -> None:
         # Scratch buffers: arrays this small are dominated by
         # allocation and ufunc-dispatch overhead, not arithmetic.
         super()._alloc_scratch(n)
-        self._zeros = np.zeros(n, dtype=float)
         self._f64_scratch = np.empty(n, dtype=float)
         self._f64_scratch2 = np.empty(n, dtype=float)
         self._bool_scratch = np.empty(n, dtype=bool)
@@ -431,19 +453,6 @@ class TokenBucketFleet(LinkModelFleet):
         np.logical_and(flipped, self._tier_differs, out=flipped)
         return self._report(flipped)
 
-    def rest(self, duration_s: float) -> None:
-        # Analytic idle refill, exactly TokenBucketModel.rest: with no
-        # offered traffic the net fill rate is `replenish` in both
-        # tiers, so one batched advance covers the whole interval.
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        self.advance(duration_s, self._zeros)
-
-    def reset(self) -> None:
-        self._budget[:] = self._reset_budget
-        self._throttled[:] = self._reset_throttled
-        self._sync_thresholds()
-
     def budgets(self) -> np.ndarray | None:
         return self._budget
 
@@ -475,13 +484,6 @@ class ConstantRateFleet(LinkModelFleet):
         _check_dt(dt)
         return False
 
-    def rest(self, duration_s: float) -> None:
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-
-    def reset(self) -> None:
-        pass
-
 
 class ResamplingFleet(LinkModelFleet):
     """Batched interval clockwork for periodically-resampled ceilings.
@@ -490,7 +492,7 @@ class ResamplingFleet(LinkModelFleet):
     array operation; only links that actually cross a resample boundary
     fall back to per-link handling, where all of a link's crossed-
     boundary draws batch into a single RNG call
-    (:meth:`~repro.netmodel.stochastic._ResamplingModel._draw_batch`).
+    (each model's ``_draw_batch``).
     Each model keeps its own seeded generator, so per-node draw
     sequences are bit-identical to the scalar path — including the
     clockwork float residues, which replay the scalar operation order
@@ -501,20 +503,17 @@ class ResamplingFleet(LinkModelFleet):
     _CONCAT_ARRAYS = ("_intervals", "_elapsed", "_current")
 
     def __init__(self, models: Sequence[LinkModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) not in self._ADOPTABLE:
-                raise TypeError(f"not a resampling model: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
-        self._intervals = np.array([m._interval for m in models], dtype=float)
-        self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
-        self._current = np.array([m._current_local for m in models], dtype=float)
-        self._alloc_scratch(len(models))
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
+        self._adopt(
+            models,
+            self._ADOPTABLE,
+            {
+                "_elapsed": ("_elapsed_local", float),
+                "_current": ("_current_local", float),
+            },
+        )
+        self._intervals = np.array(
+            [m._interval for m in self.models], dtype=float
+        )
 
     def limits(self) -> np.ndarray:
         return self._current.copy()
@@ -551,36 +550,6 @@ class ResamplingFleet(LinkModelFleet):
             current[i] = value
         return self._report(changed)
 
-    def rest(self, duration_s: float) -> None:
-        # Mirrors the generic LinkModel.rest horizon-stepping loop per
-        # link (the clockwork is RNG-independent, so step sizes and
-        # crossing counts replicate exactly), then takes every crossed
-        # boundary's draw in one batched RNG call per link.
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        min_step = duration_s / _MAX_REST_STEPS
-        elapsed = self._elapsed
-        current = self._current
-        for i, model in enumerate(self.models):
-            interval = float(self._intervals[i])
-            e = float(elapsed[i])
-            remaining = duration_s
-            k = 0
-            while remaining > 1e-9:
-                step = min(remaining, max(interval - e, min_step, 1e-6))
-                e += step
-                while e >= interval - 1e-12:
-                    e -= interval
-                    k += 1
-                remaining -= step
-            elapsed[i] = e
-            if k:
-                current[i] = model._draw_batch(k)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
-
 
 class PerCoreQosFleet(LinkModelFleet):
     """Batched stream-age/idle-gap clockwork for GCE per-core QoS links.
@@ -613,13 +582,17 @@ class PerCoreQosFleet(LinkModelFleet):
     )
 
     def __init__(self, models: Sequence[PerCoreQosModel]) -> None:
-        models = list(models)
-        for model in models:
-            if type(model) is not PerCoreQosModel:
-                raise TypeError(f"not a PerCoreQosModel: {model!r}")
-            if model._fleet is not None:
-                raise ValueError("model already adopted by another fleet")
-        self.models = models
+        self._adopt(
+            models,
+            (PerCoreQosModel,),
+            {
+                "_age": ("_age_local", float),
+                "_idle": ("_idle_local", float),
+                "_elapsed": ("_elapsed_local", float),
+                "_eff": ("_eff_local", float),
+            },
+        )
+        models = self.models
         self._qos = np.array([m.qos_gbps for m in models], dtype=float)
         self._ramp = np.array([m.ramp_s for m in models], dtype=float)
         self._idle_reset = np.array([m.idle_reset_s for m in models], dtype=float)
@@ -627,15 +600,6 @@ class PerCoreQosFleet(LinkModelFleet):
         # Same threshold value the scalar while-loop computes each
         # iteration (``interval_s - 1e-12``), hoisted per link.
         self._interval_eps = self._interval - 1e-12
-        # Adopt: move current scalar state into the arrays.
-        self._age = np.array([m._age_local for m in models], dtype=float)
-        self._idle = np.array([m._idle_local for m in models], dtype=float)
-        self._elapsed = np.array([m._elapsed_local for m in models], dtype=float)
-        self._eff = np.array([m._eff_local for m in models], dtype=float)
-        self._alloc_scratch(len(models))
-        for index, model in enumerate(models):
-            model._fleet = self
-            model._fleet_index = index
 
     def _alloc_scratch(self, n: int) -> None:
         super()._alloc_scratch(n)
@@ -713,19 +677,6 @@ class PerCoreQosFleet(LinkModelFleet):
             if eff[i] != before:
                 changed[i] = True
         return self._report(changed)
-
-    def rest(self, duration_s: float) -> None:
-        # Per-model generic horizon-stepping rest: the scalar reference
-        # (rest is a between-repetitions cold path; draws still come
-        # from each model's own generator, via the fleet views).
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        for model in self.models:
-            model.rest(duration_s)
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()
 
 
 def build_fleet(models: Sequence[LinkModel]) -> LinkModelFleet:

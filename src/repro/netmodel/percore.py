@@ -165,7 +165,7 @@ class PerCoreQosModel(LinkModel):
         while the warm/cold state holds fixed (``Generator.uniform``
         consumes exactly one double per element, scalar or batched) —
         the property the fleet's interval-crossing loop relies on,
-        mirroring ``_ResamplingModel._draw_batch``.
+        mirroring the resampling models' ``_draw_batch``.
         """
         dist = self.warm_efficiency if self.is_warm else self.cold_efficiency
         return float(dist.sample(self._rng, size=k)[-1])

@@ -36,10 +36,11 @@ class _ResamplingModel(LinkModel):
     model, the interval clockwork (``elapsed``/``current``) moves into
     the fleet's flat arrays and this handle reads/writes through; the
     RNG stays on the model so each node keeps its own per-seed draw
-    sequence bit-exactly.  Long advances redraw through
-    :meth:`_draw_batch`, which subclasses override to pull every
+    sequence bit-exactly.  A fleet advance that crosses boundaries
+    redraws through the subclasses' ``_draw_batch``, which pulls every
     crossed-boundary draw in one RNG call (sequence-identical to the
-    scalar one-draw-per-boundary loop, which remains the reference).
+    one-draw-per-boundary loop in :meth:`advance`, which remains the
+    reference).
     """
 
     def __init__(self, interval_s: float, seed: int) -> None:
@@ -81,19 +82,6 @@ class _ResamplingModel(LinkModel):
 
     def _draw(self) -> float:
         raise NotImplementedError
-
-    def _draw_batch(self, k: int) -> float:
-        """Value after ``k`` consecutive redraws (``k >= 1``).
-
-        Reference fallback: ``k`` scalar :meth:`_draw` calls.  Subclasses
-        override with one batched RNG call that consumes the exact same
-        stream, so a fleet advance crossing many resample boundaries
-        costs one RNG dispatch instead of ``k``.
-        """
-        value = self._current
-        for _ in range(k):
-            value = self._draw()
-        return value
 
     def _restart(self) -> None:
         """Reset subclass state before the first draw."""

@@ -453,13 +453,12 @@ class SparkEngine:
 def rest_fabric(fabric: Fabric, duration_s: float) -> None:
     """Let every shaper idle for ``duration_s`` (buckets refill).
 
-    Delegates to :meth:`~repro.netmodel.fleet.LinkModelFleet.rest`:
-    token-bucket fleets refill in one closed-form batched step,
-    resampling fleets batch each node's crossed-boundary redraws into
-    one RNG call, and the scalar adapter falls back to per-model
-    :meth:`~repro.netmodel.base.LinkModel.rest`.  Shaper ceilings may
-    change while resting, so the fabric's rate assignment is
-    invalidated.
+    Delegates to :meth:`~repro.netmodel.fleet.LinkModelFleet.rest`,
+    which rests each node's model through its own
+    :meth:`~repro.netmodel.base.LinkModel.rest` (a token bucket refills
+    in one closed-form step) and fires no transition hook.  Shaper
+    ceilings may change while resting, so the fabric's rate assignment
+    is invalidated.
     """
     fabric.fleet.rest(duration_s)
     fabric.invalidate_rates()

@@ -250,6 +250,29 @@ class TestResamplingFleetIdentity:
         fleet.reset()
         assert fleet.limits().tolist() == [m.limit() for m in scalars]
 
+    def test_scalar_views_read_and_write_through(self):
+        fleet, scalars = _resampling_pair()
+        zeros = np.zeros(fleet.n)
+        fleet.advance(7.0, zeros)
+        for model in scalars:
+            model.advance(7.0, 0.0)
+        # Adopted handles observe fleet state...
+        for adopted, twin in zip(fleet.models, scalars):
+            assert adopted._elapsed_in_interval == twin._elapsed_in_interval
+            assert adopted._current == twin._current
+            assert adopted.limit() == twin.limit()
+        # ...and a scalar advance (crossing a boundary, so both the
+        # clock and the ceiling move) or reset through a handle lands
+        # in the fleet arrays.
+        fleet.models[1].advance(4.0, 0.0)
+        scalars[1].advance(4.0, 0.0)
+        assert fleet._elapsed[1] == scalars[1]._elapsed_in_interval
+        assert fleet._current[1] == scalars[1]._current
+        fleet.models[2].reset()
+        scalars[2].reset()
+        assert fleet._elapsed[2] == 0.0
+        assert fleet._current[2] == scalars[2]._current
+
 
 def _percore_pair():
     """Heterogeneous per-core QoS fleet plus independent scalar twins.
@@ -408,10 +431,20 @@ class TestBuildFleet:
         assert isinstance(build_fleet([]), ScalarFleetAdapter)
 
     def test_double_adoption_raises(self):
-        models = [TokenBucketModel(p) for p in _TB_PARAMS]
-        TokenBucketFleet(models)
-        with pytest.raises(ValueError):
-            TokenBucketFleet(models)
+        for fleet_cls, models in (
+            (TokenBucketFleet, [TokenBucketModel(p) for p in _TB_PARAMS]),
+            (ResamplingFleet, _resampling_pair()[1]),
+            (PerCoreQosFleet, _percore_pair()[1]),
+        ):
+            # A model of another type is refused before anything is
+            # adopted...
+            with pytest.raises(TypeError, match="not a"):
+                fleet_cls([*models, ConstantRateModel(1.0)])
+            assert all(m._fleet is None for m in models)
+            # ...and so is a second fleet over already-adopted models.
+            fleet_cls(models)
+            with pytest.raises(ValueError, match="already adopted"):
+                fleet_cls(models)
 
     def test_adapter_budgets_mirror_hasattr_contract(self):
         adapter = ScalarFleetAdapter(
@@ -441,6 +474,27 @@ class TestBuildFleet:
             with pytest.raises(ValueError):
                 fleet.rest(-1.0)
             assert fleet.limits().tolist() == before
+
+    def test_rest_and_reset_never_fire_transition_hook(self):
+        # Resting and resetting are not simulated steps: ceilings move
+        # (an empty bucket refills past its resume threshold, resample
+        # clocks cross boundaries) but the hook stays silent.
+        for fleet in (
+            _tb_pair()[0],
+            ConstantRateFleet([ConstantRateModel(1.0) for _ in "ab"]),
+            _resampling_pair()[0],
+            _percore_pair()[0],
+            ScalarFleetAdapter([TokenBucketModel(p) for p in _TB_PARAMS]),
+        ):
+            events = []
+            fleet.transition_hook = lambda idx, limits: events.append(idx)
+            before = fleet.limits().tolist()
+            fleet.rest(500.0)
+            if not isinstance(fleet, ConstantRateFleet):
+                assert fleet.limits().tolist() != before
+            fleet.reset()
+            assert fleet.limits().tolist() == before
+            assert events == []
 
 
 class TestAdapterIdentity:

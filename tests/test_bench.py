@@ -206,6 +206,33 @@ class TestCheckGate:
         assert code == 1
         assert "checksum drifted" in capsys.readouterr().err
 
+    def test_cli_check_fails_on_a_recorded_case_the_suite_dropped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A reference row no suite case produces any more (renamed or
+        # dropped) must fail the gate instead of silently not gating.
+        import repro.bench.hotpath as hotpath
+
+        kept = {"wall_s": 1.0, "checksum": 42.0}
+        recorded = {"stream_16x200": kept, "old_case": dict(kept)}
+        monkeypatch.setattr(hotpath, "run_suite", lambda smoke=False: recorded)
+        path = tmp_path / "BENCH_engine.json"
+        assert main(["bench", "--save-smoke", "--json", str(path)]) == 0
+        monkeypatch.setattr(
+            hotpath, "run_suite", lambda smoke=False: {"stream_16x200": kept}
+        )
+        code = main(
+            [
+                "bench", "--smoke", "--check", "--json", str(path),
+                "--wall-tolerance", "1000",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "old_case" in err
+        assert "no suite case" in err
+        assert "stream_16x200" not in err
+
 
 class TestCli:
     def test_bench_table_only(self, tmp_path, capsys):
