@@ -356,7 +356,7 @@ class ObsRecorder:
             queued += state._job_tasks[j] - state._launched_total[j]
         total_slots = state.engine.cluster.total_slots
         running = float(total_slots - state._free_total)
-        active_flows = float(state.fabric._n)
+        active_flows = float(len(state.fabric.flows))
         budgets = state.fabric.fleet.budgets()
         budget_total = float(np.sum(budgets)) if budgets is not None else 0.0
         cols = self._scrape_cols

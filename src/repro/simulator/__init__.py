@@ -30,17 +30,25 @@ objects are handles into them).  Water-filling, the flow completion
 bound and the flow advance each have one implementation per leg: the
 numba kernels in :mod:`repro.simulator._kernels` when numba is
 importable, otherwise the scalar reference loops (numpy array passes
-do not repay their per-call dispatch here, even at 10k flows).  Per
-event step the cost is
+do not repay their per-call dispatch here, even at 10k flows).  Flow
+bookkeeping is incremental: per-node egress and ingress member lists
+are maintained as flows start and retire, so the scalar water-fill
+never rebuilds its resource topology (a resource's first-appearance
+rank is ``2 * first_member.flow_id``, ``+ 1`` for ingress), and a
+finished flow leaves a tombstone slot instead of shifting the arrays;
+one order-preserving squeeze drops the tombstones later.  Per event
+step the cost is
 
 * one lazy water-filling — skipped entirely unless a flow arrived or
   completed, a shaper ceiling moved, or a caller invalidated rates;
-  otherwise O(bottlenecks x flows);
+  otherwise O(bottlenecks x resources + flows);
 * one cached per-node egress aggregation (``bincount``), shared by
   telemetry, ``horizon``, and ``advance`` instead of recomputed
   thrice;
-* one ``advance``/``horizon``/``limit`` call per shaper model (these
-  stay scalar objects so heterogeneous fleets keep working);
+* one batched ``limits``/``horizons``/``advance`` call on the shaper
+  fleet (:mod:`repro.netmodel.fleet`) for all nodes at once
+  (heterogeneous model lists fall back to the per-model
+  ``ScalarFleetAdapter`` loop);
 * O(1) scheduler bookkeeping: runnable stages are maintained
   incrementally at stage-completion/launch-exhaustion events, and
   launch passes are skipped on steps where no slot was freed, no

@@ -29,7 +29,9 @@ operation order exactly:
 * :func:`waterfill` is the reference progressive filling —
   first-appearance resource ordering, strict-min tie-break, per-frozen-
   flow clamped capacity subtraction — over CSR adjacency instead of
-  dicts;
+  the fabric's maintained member lists.  It expects live flows only:
+  the fabric squeezes its tombstoned slots out of the arrays before
+  every call;
 * :func:`flow_min_bound` is ``Fabric.horizon``'s completed/stalled/
   active classification per flow;
 * :func:`advance_flows` is ``remaining -= rate * dt`` plus the

@@ -16,15 +16,25 @@ assignment stays valid (flow completions and shaper transitions), and
 Internally the fabric is a struct-of-arrays engine: flow endpoints,
 remaining volumes, and rates live in flat numpy arrays kept in flow
 insertion order, and :class:`Flow` objects are handles into them.
+Flow bookkeeping is incremental.  Each node keeps two member lists
+(its egress flows and its ingress flows, live handles in insertion
+order), appended by :meth:`Fabric.add_flow` and pruned when a flow
+retires.  A completed or removed flow retires without moving any
+other flow: its handle takes its final values and detaches, and its
+slot stays behind as a tombstone (``remaining = inf``, ``rate = 0.0``) that never completes,
+never binds the horizon and adds an exact ``+0.0`` to egress sums.
+One order-preserving squeeze drops the tombstones once they
+outnumber the live slots, and before every compiled water-fill.
+
 Each computation has one implementation per leg: with numba, the
 compiled :mod:`repro.simulator._kernels` loops; without it, the scalar
-reference progressive filling (cached flow/resource topology, Python
-scalars) and plain per-flow bound and advance loops.  Both legs
-reproduce the reference algorithm *bit for bit* — same saturation
-order, same tie-breaking (first resource in flow-insertion order
-wins), same floating-point operation order for the per-flow capacity
-subtractions — which is what lets the golden-trace equivalence test
-pin pre-refactor outputs exactly.
+reference progressive filling (over the member lists, Python scalars)
+and plain per-flow bound and advance loops.  Both legs reproduce the
+reference algorithm *bit for bit* — same saturation order, same
+tie-breaking (first resource in flow-insertion order wins), same
+floating-point operation order for the per-flow capacity subtractions
+— which is what lets the golden-trace equivalence test pin
+pre-refactor outputs exactly.
 
 The shaper side is batched: the fabric holds a
 :class:`~repro.netmodel.fleet.LinkModelFleet` (built automatically
@@ -43,6 +53,7 @@ into N micro-steps.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -162,16 +173,23 @@ class Fabric:
         #: Number of nodes attached to the fabric.
         self.n_nodes = self.fleet.n
         self._ingress_arr = np.asarray(self.ingress_caps, dtype=float)
+        #: Live flows by id, in insertion order.
         self.flows: dict[int, Flow] = {}
         self._next_id = 0
         self._rates_valid = False
-        # Struct-of-arrays flow state, in insertion order up to _n.
+        # Struct-of-arrays flow state, in insertion order up to _n
+        # slots; retired slots are tombstones (handle None).
         self._src = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._remaining = np.zeros(_MIN_CAPACITY, dtype=float)
         self._rate = np.zeros(_MIN_CAPACITY, dtype=float)
-        self._handles: list[Flow] = []
+        self._handles: list[Flow | None] = []
         self._n = 0
+        self._n_dead = 0
+        #: Water-filling resources: ``_members[node]`` holds the node's
+        #: live egress flows, ``_members[n_nodes + node]`` its live
+        #: ingress flows, each in insertion order.
+        self._members: list[list[Flow]] = [[] for _ in range(2 * self.n_nodes)]
         #: Per-node aggregate send rates under the current assignment,
         #: computed at most once per event step (``None`` = stale).
         self._egress_cache: np.ndarray | None = None
@@ -183,13 +201,6 @@ class Fabric:
         self._flow_bound_valid = False
         #: Scratch for the compiled advance kernel's completed indices.
         self._done_scratch = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        #: Cached scalar water-filling topology (resource ids, flow
-        #: adjacency) for the current flow set; rebuilt whenever flows
-        #: are added or removed.  Between flow-set changes only the
-        #: resource capacities (shaper limits) move, so the per-step
-        #: scalar path reuses the structure (see
-        #: :meth:`_compute_rates_scalar`).
-        self._scalar_topo: tuple | None = None
         #: Optional external buffer for the egress cache (a view into
         #: the multistream runner's shared staging array); ``None``
         #: means refills allocate their own array.
@@ -234,11 +245,12 @@ class Fabric:
         self._next_id += 1
         self.flows[flow.flow_id] = flow
         self._handles.append(flow)
+        self._members[src].append(flow)
+        self._members[self.n_nodes + dst].append(flow)
         self._n = index + 1
         self._rates_valid = False
         self._egress_cache = None
         self._flow_bound_valid = False
-        self._scalar_topo = None
         return flow
 
     def remove_flow(self, flow: Flow) -> None:
@@ -250,9 +262,7 @@ class Fabric:
         """
         if flow._fabric is not self:
             return
-        keep = np.ones(self._n, dtype=bool)
-        keep[flow._index] = False
-        self._compact(keep)
+        self._retire(flow)
         self._rates_valid = False
         self._egress_cache = None
         self._flow_bound_valid = False
@@ -266,35 +276,45 @@ class Fabric:
             setattr(self, name, new)
         self._done_scratch = np.empty(capacity, dtype=np.int64)
 
-    def _compact(self, keep: np.ndarray, removed: np.ndarray | None = None) -> None:
-        """Drop flows where ``keep`` is False, preserving insertion order.
+    def _retire(self, flow: Flow) -> None:
+        """Detach ``flow`` with its final values; tombstone its slot.
 
-        ``removed`` optionally carries the precomputed indices of the
-        dropped flows (callers that already ran ``flatnonzero`` on the
-        completion mask pass it to avoid a second scan).
+        The tombstone (``remaining = inf``, ``rate = 0.0``) never
+        completes, never binds the horizon, and adds an exact ``+0.0``
+        to its node's egress sum, so the slot can stay in the arrays
+        until tombstones outnumber live slots.
         """
-        n = self._n
-        self._scalar_topo = None
-        if removed is None:
-            removed = np.flatnonzero(~keep)
-        for i in removed.tolist():
-            handle = self._handles[i]
-            handle._remaining = float(self._remaining[i])
-            handle._rate = float(self._rate[i])
-            handle._fabric = None
-            handle._index = -1
-            del self.flows[handle.flow_id]
-        kept = np.flatnonzero(keep)
-        k = kept.shape[0]
-        self._src[:k] = self._src[:n][keep]
-        self._dst[:k] = self._dst[:n][keep]
-        self._remaining[:k] = self._remaining[:n][keep]
-        self._rate[:k] = self._rate[:n][keep]
-        handles = [self._handles[i] for i in kept.tolist()]
+        i = flow._index
+        flow._remaining = float(self._remaining[i])
+        flow._rate = float(self._rate[i])
+        flow._fabric = None
+        flow._index = -1
+        self._members[flow.src].remove(flow)
+        self._members[self.n_nodes + flow.dst].remove(flow)
+        del self.flows[flow.flow_id]
+        self._handles[i] = None
+        self._remaining[i] = math.inf
+        self._rate[i] = 0.0
+        self._n_dead += 1
+        if 2 * self._n_dead > self._n:
+            self._squeeze()
+
+    def _squeeze(self) -> None:
+        """Drop tombstoned slots, preserving insertion order.
+
+        A pure relabelling: every live flow keeps its values, so rates,
+        the egress cache and the flow-bound cache all stay valid.
+        """
+        handles = [h for h in self._handles if h is not None]
+        k = len(handles)
+        kept = np.array([h._index for h in handles], dtype=np.intp)
+        for arr in (self._src, self._dst, self._remaining, self._rate):
+            arr[:k] = arr[kept]
         for index, handle in enumerate(handles):
             handle._index = index
         self._handles = handles
         self._n = k
+        self._n_dead = 0
 
     # ------------------------------------------------------------------
     # water-filling
@@ -314,11 +334,13 @@ class Fabric:
             return
         self._egress_cache = None
         self._flow_bound_valid = False
-        n = self._n
-        if n == 0:
+        if not self.flows:
             self._rates_valid = True
             return
         if _kernels.HAVE_JIT:
+            if self._n_dead:
+                self._squeeze()
+            n = self._n
             _kernels.waterfill(
                 self._src[:n],
                 self._dst[:n],
@@ -327,130 +349,89 @@ class Fabric:
                 self._rate[:n],
             )
         else:
-            self._compute_rates_scalar(n)
+            self._compute_rates_scalar()
         self._rates_valid = True
 
-    def _compute_rates_scalar(self, n: int) -> None:
+    def _compute_rates_scalar(self) -> None:
         """Reference progressive filling over Python scalars.
 
         Semantically (and bit-for-bit) the same algorithm as the
-        compiled :func:`~repro.simulator._kernels.waterfill`: resources
-        ranked by first appearance — (out, src), (in, dst) per flow in
-        flow order — the tightest fair share saturates first, the
-        first-ranked resource wins ties, and capacity subtraction
-        clamps per frozen flow.
+        compiled :func:`~repro.simulator._kernels.waterfill` on the live
+        flows in insertion order: the tightest fair share saturates
+        first, the first-ranked resource wins exact ties, and capacity
+        subtraction clamps per frozen flow, visiting a resource's flows
+        in insertion order.
+
+        Resources are the maintained member lists — resource ``node``
+        is the node's egress, ``n_nodes + node`` its ingress — so no
+        topology is rebuilt per call.  The kernel ranks resources by
+        first appearance in the (out, src), (in, dst) sequence over the
+        live flows; the first appearance of a resource is its first
+        live member, at sequence position ``2 * index`` (``+ 1`` for
+        ingress).  Flow ids grow with insertion order and squeezes keep
+        that order, so the key ``2 * first_member.flow_id`` (``+ 1``
+        for ingress) ranks resources exactly as the kernel does.  The
+        scan takes the lexicographic minimum of ``(share, key)``,
+        reading keys only on exact share ties, and never picks an
+        infinite share.
 
         Active-flow counts per resource are maintained incrementally
         (decremented as flows freeze) instead of intersecting member
-        sets against the unfixed set on every scan — the shares and
-        the saturation order come out identical, without the O(R)
-        set allocations per water-filling round.
+        sets against the unfixed set on every scan.
         """
-        if n == 1:
+        flows = self.flows
+        if len(flows) == 1:
             # One flow: the tighter of its two resources is the unique
-            # bottleneck.  The strict ``<`` scan order makes the out
-            # resource win exact ties, so this is the general loop's
-            # first (and only) round verbatim.
-            lim = self.fleet.limit_at(self._src[0])
-            cap = self.ingress_caps[self._dst[0]]
+            # bottleneck.  The out resource ranks first and so wins
+            # exact ties: the general loop's first (and only) round
+            # verbatim.
+            (flow,) = flows.values()
+            lim = self.fleet.limit_at(flow.src)
+            cap = self.ingress_caps[flow.dst]
             best_share = cap if cap < lim else lim
-            self._rate[0] = best_share if best_share > 0.0 else 0.0
+            self._rate[flow._index] = best_share if best_share > 0.0 else 0.0
             return
-        topo = self._scalar_topo
-        if topo is None:
-            src = self._src[:n].tolist()
-            dst = self._dst[:n].tolist()
-            # Resources as flat parallel lists in first-appearance order
-            # over the (out, src), (in, dst) sequence — the same rank
-            # the reference dict ordering produced, without per-round
-            # dict and set churn.  ``res_flows`` adjacency is
-            # deduplicated by construction (a flow's out and in
-            # resources are distinct).  The structure depends only on
-            # the flow set, so it is cached until flows change; the
-            # capacities (shaper limits, ingress caps) are re-read on
-            # every call below.
-            out_id = [-1] * self.n_nodes
-            in_id = [-1] * self.n_nodes
-            flow_out = [0] * n
-            flow_in = [0] * n
-            res_node: list[int] = []
-            res_is_out: list[bool] = []
-            res_cnt0: list[int] = []
-            res_flows: list[list[int]] = []
-            for i in range(n):
-                node = src[i]
-                rid = out_id[node]
-                if rid < 0:
-                    rid = len(res_node)
-                    out_id[node] = rid
-                    res_node.append(node)
-                    res_is_out.append(True)
-                    res_cnt0.append(0)
-                    res_flows.append([])
-                flow_out[i] = rid
-                res_cnt0[rid] += 1
-                res_flows[rid].append(i)
-                node = dst[i]
-                rid = in_id[node]
-                if rid < 0:
-                    rid = len(res_node)
-                    in_id[node] = rid
-                    res_node.append(node)
-                    res_is_out.append(False)
-                    res_cnt0.append(0)
-                    res_flows.append([])
-                flow_in[i] = rid
-                res_cnt0[rid] += 1
-                res_flows[rid].append(i)
-            topo = (flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows)
-            self._scalar_topo = topo
-        flow_out, flow_in, res_node, res_is_out, res_cnt0, res_flows = topo
-        caps = self.ingress_caps
-        fleet = self.fleet
-        if sum(res_is_out) <= 4:
-            # Few sending nodes: scalar limit reads beat materializing
-            # (and list-converting) the whole fleet's limit array.
-            res_rem = [
-                (fleet.limit_at(node) if is_out else caps[node])
-                for node, is_out in zip(res_node, res_is_out)
-            ]
-        else:
-            limits = fleet.limits().tolist()
-            res_rem = [
-                (limits[node] if is_out else caps[node])
-                for node, is_out in zip(res_node, res_is_out)
-            ]
-        res_cnt = res_cnt0.copy()
-        n_res = len(res_rem)
+        n_nodes = self.n_nodes
+        members = self._members
+        res_rem = self.fleet.limits().tolist() + self.ingress_caps
+        res_cnt = list(map(len, members))
+        active = list(compress(range(2 * n_nodes), res_cnt))
+        n = self._n
         rates = [0.0] * n
         fixed = [False] * n
-        n_unfixed = n
+        n_unfixed = len(flows)
         while n_unfixed:
             best = -1
             best_share = math.inf
-            for rid in range(n_res):
+            for rid in active:
                 count = res_cnt[rid]
                 if count:
                     share = res_rem[rid] / count
                     if share < best_share:
                         best_share = share
                         best = rid
+                    elif share == best_share and best >= 0 and (
+                        2 * members[rid][0].flow_id + (rid >= n_nodes)
+                        < 2 * members[best][0].flow_id + (best >= n_nodes)
+                    ):
+                        best = rid
             if best < 0:
                 break
             # ``v if v > 0.0 else 0.0`` is ``max(v, 0.0)``: -0.0 cannot
             # arise from IEEE subtraction under round-to-nearest.
             rate_val = best_share if best_share > 0.0 else 0.0
-            for i in res_flows[best]:
+            for flow in members[best]:
+                i = flow._index
                 if fixed[i]:
                     continue
                 fixed[i] = True
                 rates[i] = rate_val
                 n_unfixed -= 1
-                rid = flow_out[i]
+                rid = flow.src
                 v = res_rem[rid] - rate_val
                 res_rem[rid] = v if v > 0.0 else 0.0
                 res_cnt[rid] -= 1
-                rid = flow_in[i]
+                rid = n_nodes + flow.dst
                 v = res_rem[rid] - rate_val
                 res_rem[rid] = v if v > 0.0 else 0.0
                 res_cnt[rid] -= 1
@@ -631,7 +612,7 @@ class Fabric:
         with one ``dt`` per link, then calls this per cell with the
         cell's own ``dt`` and its slice of the fleet's
         ``changed_links`` reduced to one flag.  Both run the same flow
-        update, compaction, and flow-bound cache maintenance.
+        update, retirement, and flow-bound cache maintenance.
         """
         completed: list[Flow] = []
         n = self._n
@@ -644,47 +625,31 @@ class Fabric:
                     _COMPLETE_EPS_GBIT,
                     self._done_scratch,
                 )
-                if count:
-                    done_idx = self._done_scratch[:count].copy()
-                    completed = [self._handles[i] for i in done_idx.tolist()]
-                    keep = np.ones(n, dtype=bool)
-                    keep[done_idx] = False
-                    self._compact(keep, removed=done_idx)
-                    self._rates_valid = False
-                    self._egress_cache = None
+                done = self._done_scratch[:count].tolist()
             elif n == 1:
                 v = float(self._remaining[0]) - float(self._rate[0]) * dt
                 self._remaining[0] = v
-                if v <= _COMPLETE_EPS_GBIT:
-                    completed = [self._handles[0]]
-                    self._compact(
-                        np.zeros(1, dtype=bool),
-                        removed=np.zeros(1, dtype=np.intp),
-                    )
-                    self._rates_valid = False
-                    self._egress_cache = None
+                done = (0,) if v <= _COMPLETE_EPS_GBIT else ()
             else:
                 # The same ``remaining -= rate * dt`` multiply-subtract
                 # per element as the compiled kernel.
                 remaining = self._remaining
                 rem_list = remaining[:n].tolist()
                 rate_list = self._rate[:n].tolist()
-                done_list: list[int] = []
+                done = []
                 for i in range(n):
                     v = rem_list[i] - rate_list[i] * dt
                     rem_list[i] = v
                     if v <= _COMPLETE_EPS_GBIT:
-                        done_list.append(i)
+                        done.append(i)
                 remaining[:n] = rem_list
-                if done_list:
-                    completed = [self._handles[i] for i in done_list]
-                    keep = np.ones(n, dtype=bool)
-                    keep[done_list] = False
-                    self._compact(
-                        keep, removed=np.array(done_list, dtype=np.intp)
-                    )
-                    self._rates_valid = False
-                    self._egress_cache = None
+            if done:
+                handles = self._handles
+                completed = [handles[i] for i in done]
+                for flow in completed:
+                    self._retire(flow)
+                self._rates_valid = False
+                self._egress_cache = None
         if limit_changed:
             self._rates_valid = False
         if completed or limit_changed:

@@ -17,6 +17,7 @@ from repro.obs import NullRecorder, ObsRecorder
 from repro.obs.metrics import parse_prometheus_text
 from repro.netmodel import TokenBucketModel
 from repro.simulator import SCHEDULERS, Cluster, NodeSpec, SparkEngine
+from repro.simulator import _kernels
 from tests.simulator.test_golden_trace import _BUCKET, _snapshot
 
 
@@ -158,6 +159,42 @@ class TestRecorderContents:
             e["name"] == "shaper_throttle"
             for e in recorder.tracer.events("fabric")
         )
+
+
+class TestActiveFlowsGauge:
+    def test_gauge_counts_live_flows_only(self, monkeypatch):
+        # Completed flows leave tombstoned slots in the fabric's arrays
+        # until the next squeeze; the gauge must count live flows.  The
+        # compiled leg squeezes before every water-fill, so pin the
+        # scalar leg, where scrapes see tombstones.
+        monkeypatch.setattr(_kernels, "HAVE_JIT", False)
+        scrapes = []
+
+        class Probe(ObsRecorder):
+            def maybe_scrape(self, state, force=False):
+                before = len(self._scrape_times)
+                super().maybe_scrape(state, force=force)
+                if len(self._scrape_times) > before:
+                    fabric = state.fabric
+                    scrapes.append(
+                        (
+                            self._gauges["active_flows"].value(),
+                            self._scrape_cols["active_flows"][-1],
+                            len(fabric.flows),
+                            fabric._n,
+                        )
+                    )
+
+        recorder = Probe(scrape_interval_s=1.0, window_s=60.0)
+        _run("fair", recorder=recorder)
+        closed = recorder.registry.counter("repro_sim_flows_closed_total")
+        assert closed.value(result="completed") > 0
+        assert scrapes
+        for gauge, column, live, _ in scrapes:
+            assert gauge == column == live
+        # The run did scrape with tombstones present, so a slot count
+        # would have disagreed.
+        assert any(slots > live for _, _, live, slots in scrapes)
 
 
 class TestRecorderOptions:

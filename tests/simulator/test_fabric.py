@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.netmodel import ConstantRateModel, TokenBucketModel, TokenBucketParams
 from repro.simulator import Fabric
+from repro.simulator import _kernels
 
 
 def constant_fabric(n=4, egress=10.0, ingress=10.0):
@@ -347,6 +356,237 @@ class TestArrayStateManagement:
         fabric.invalidate_rates()
         fabric.compute_rates()
         assert flow.rate_gbps == pytest.approx(1.0)
+
+
+def _kernel_rates(fabric, live):
+    """``waterfill_py`` on ``live`` flows in insertion order."""
+    rate = np.zeros(len(live))
+    _kernels.waterfill_py(
+        np.array([f.src for f in live], dtype=np.intp),
+        np.array([f.dst for f in live], dtype=np.intp),
+        fabric.fleet.limits(),
+        np.array(fabric.ingress_caps),
+        rate,
+    )
+    return rate.tolist()
+
+
+def _rebuilt(fabric):
+    """A fresh fabric holding ``fabric``'s live flows, rates computed."""
+    fresh = Fabric(
+        egress_models=[ConstantRateModel(e) for e in fabric.fleet.limits().tolist()],
+        ingress_caps_gbps=fabric.ingress_caps,
+    )
+    for f in fabric.flows.values():
+        fresh.add_flow(f.src, f.dst, f.remaining_gbit)
+    fresh.compute_rates()
+    return fresh
+
+
+def _check_tombstone_invariants(fabric, retired):
+    """Live/retired handle bookkeeping after any fabric operation.
+
+    ``retired`` maps each retired handle to the (remaining, rate) it
+    held when it left the fabric.
+    """
+    live = [h for h in fabric._handles[: fabric._n] if h is not None]
+    # ``flows`` holds exactly the live handles, in insertion order.
+    assert list(fabric.flows.values()) == live
+    assert all(f._fabric is fabric for f in live)
+    assert fabric._n - fabric._n_dead == len(live)
+    # Slot order is flow-id order, through any number of squeezes.
+    ids = [f.flow_id for f in live]
+    assert ids == sorted(ids)
+    indices = [f._index for f in live]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(fabric._handles[i] is f for i, f in zip(indices, live))
+    for flow, (remaining, rate) in retired.items():
+        assert flow._fabric is None
+        assert flow.flow_id not in fabric.flows
+        assert flow.remaining_gbit == remaining
+        assert flow.rate_gbps == rate
+
+
+class TestTombstones:
+    def test_retired_slots_squeeze_in_order(self):
+        fabric = constant_fabric(n=6)
+        flows = [fabric.add_flow(i % 6, (i + 1) % 6, 10.0 + i) for i in range(12)]
+        fabric.compute_rates()
+        retired = {}
+        # Remove every third flow: tombstones stay (dead < live).
+        for flow in flows[::3]:
+            fabric.remove_flow(flow)
+            retired[flow] = (flow.remaining_gbit, flow.rate_gbps)
+        assert (fabric._n, fabric._n_dead) == (12, 4)
+        _check_tombstone_invariants(fabric, retired)
+        # The seventh dead slot of twelve squeezes the arrays down to
+        # the five live flows, in insertion order; the eighth removal
+        # leaves one new tombstone behind.
+        for flow in flows[1::3]:
+            fabric.remove_flow(flow)
+            retired[flow] = (flow.remaining_gbit, flow.rate_gbps)
+        assert (fabric._n, fabric._n_dead) == (5, 1)
+        _check_tombstone_invariants(fabric, retired)
+        assert [f._index for f in fabric.flows.values()] == [0, 1, 2, 4]
+        fabric.compute_rates()
+        assert fabric.node_egress_rates().tolist() == (
+            _rebuilt(fabric).node_egress_rates().tolist()
+        )
+
+    def test_completed_flow_leaves_inert_tombstone(self):
+        fabric = constant_fabric(n=4)
+        short = fabric.add_flow(0, 1, 1.0)
+        long_flows = [fabric.add_flow(s, d, 50.0) for s, d in ((1, 2), (2, 3))]
+        fabric.compute_rates()
+        rate = short.rate_gbps
+        (done,) = fabric.advance(fabric.horizon())
+        assert done is short
+        # One dead slot of three: kept as a tombstone.
+        assert fabric._n == 3 and fabric._n_dead == 1
+        assert fabric._remaining[0] == math.inf and fabric._rate[0] == 0.0
+        assert short.rate_gbps == rate
+        assert short.remaining_gbit <= 1e-9
+        _check_tombstone_invariants(
+            fabric, {short: (short.remaining_gbit, short.rate_gbps)}
+        )
+        # The tombstone never binds the horizon nor completes.
+        fabric.compute_rates()
+        horizon = fabric.horizon()
+        assert horizon == min(f.completion_time() for f in long_flows)
+        assert fabric.node_egress_rates().tolist() == (
+            _rebuilt(fabric).node_egress_rates().tolist()
+        )
+
+    def test_remove_retired_handle_is_noop(self):
+        fabric = constant_fabric(n=4)
+        a = fabric.add_flow(0, 1, 10.0)
+        b = fabric.add_flow(1, 2, 10.0)
+        c = fabric.add_flow(2, 3, 10.0)
+        fabric.remove_flow(b)
+        state = (fabric._n, fabric._n_dead, list(fabric.flows))
+        fabric.remove_flow(b)
+        assert (fabric._n, fabric._n_dead, list(fabric.flows)) == state
+        assert [m for m in fabric._members if b in m] == []
+        fabric.compute_rates()
+        assert a.rate_gbps == c.rate_gbps == 10.0
+
+
+class _FabricMachine(RuleBasedStateMachine):
+    """Random add / advance-to-horizon / remove interleavings.
+
+    After every operation the maintained member lists must fill
+    exactly like the kernel source run on the live flows in insertion
+    order, and the tombstone bookkeeping must hold.
+    """
+
+    n_nodes = 7
+    kernel_leg = False
+
+    @initialize(tied=st.booleans(), seed=st.integers(0, 2**16))
+    def build(self, tied, seed):
+        rng = np.random.default_rng(seed)
+        n = self.n_nodes
+        if tied:
+            # Two shared tiers: fair shares tie exactly and the
+            # first-appearance tie-break decides the saturation order.
+            egress = rng.choice([10.0, 25.0], size=n).tolist()
+            ingress = rng.choice([10.0, 25.0], size=n).tolist()
+        else:
+            egress = rng.uniform(1.0, 12.0, size=n).tolist()
+            ingress = rng.uniform(1.0, 12.0, size=n).tolist()
+        self.fabric = Fabric(
+            egress_models=[ConstantRateModel(e) for e in egress],
+            ingress_caps_gbps=ingress,
+        )
+        self.retired = {}
+
+    def _retire(self, flows):
+        for flow in flows:
+            self.retired[flow] = (flow.remaining_gbit, flow.rate_gbps)
+
+    @rule(data=st.data(), count=st.integers(1, 40))
+    def add_flows(self, data, count):
+        n = self.n_nodes
+        for _ in range(count):
+            src = data.draw(st.integers(0, n - 1))
+            dst = data.draw(st.integers(0, n - 2))
+            dst += dst >= src
+            volume = data.draw(st.sampled_from([1.0, 5.0, 12.5, 40.0]))
+            self.fabric.add_flow(src, dst, volume)
+
+    @precondition(lambda self: self.fabric.flows)
+    @rule(fraction=st.sampled_from([1.0, 1.0, 0.5]))
+    def advance(self, fraction):
+        fabric = self.fabric
+        before = {f: (f.remaining_gbit, f.rate_gbps) for f in fabric.flows.values()}
+        dt = fabric.horizon() * fraction
+        completed = fabric.advance(dt)
+        if fraction == 1.0:
+            assert completed
+        for flow in completed:
+            remaining, rate = before[flow]
+            assert flow.rate_gbps == rate
+            assert flow.remaining_gbit == remaining - rate * dt
+        self._retire(completed)
+
+    @precondition(lambda self: self.fabric.flows)
+    @rule(data=st.data())
+    def remove(self, data):
+        live = list(self.fabric.flows.values())
+        flow = data.draw(st.sampled_from(live))
+        self.fabric.remove_flow(flow)
+        self._retire([flow])
+
+    @precondition(lambda self: self.retired)
+    @rule(data=st.data())
+    def remove_retired(self, data):
+        fabric = self.fabric
+        flow = data.draw(st.sampled_from(sorted(self.retired, key=id)))
+        state = (fabric._n, fabric._n_dead, list(fabric.flows))
+        fabric.remove_flow(flow)
+        assert (fabric._n, fabric._n_dead, list(fabric.flows)) == state
+
+    @invariant()
+    def fabric_state_holds(self):
+        fabric = self.fabric
+        _check_tombstone_invariants(fabric, self.retired)
+        live = list(fabric.flows.values())
+        # Tombstones add nothing to the egress sums, even before the
+        # next water-fill.
+        sums = [0.0] * self.n_nodes
+        for f in live:
+            sums[f.src] += f.rate_gbps
+        assert fabric.node_egress_rates().tolist() == sums
+        expected = _kernel_rates(fabric, live)
+        saved = _kernels.HAVE_JIT
+        _kernels.HAVE_JIT = self.kernel_leg
+        try:
+            fabric.compute_rates()
+        finally:
+            _kernels.HAVE_JIT = saved
+        assert [f.rate_gbps for f in live] == expected
+        fabric._compute_rates_scalar()
+        assert [f.rate_gbps for f in live] == expected
+        assert fabric.node_egress_rates().tolist() == (
+            _rebuilt(fabric).node_egress_rates().tolist()
+        )
+
+
+class TestMaintainedMembership:
+    @pytest.mark.parametrize("kernel_leg", [False, True], ids=["scalar", "kernel"])
+    @pytest.mark.parametrize("n_nodes", [7, 64])
+    def test_fill_matches_kernel_on_live_flows(self, n_nodes, kernel_leg):
+        machine = type(
+            f"FabricMachine{n_nodes}",
+            (_FabricMachine,),
+            {"n_nodes": n_nodes, "kernel_leg": kernel_leg},
+        )
+        run_state_machine_as_test(
+            machine,
+            settings=settings(
+                max_examples=12, stateful_step_count=25, deadline=None
+            ),
+        )
 
 
 class TestEventHorizonCoalescing:

@@ -84,7 +84,7 @@ class TestWaterfillKernel:
             src, dst, np.array(egress), np.array(ingress), rate
         )
         fab = _fabric_for(flows, egress, ingress)
-        fab._compute_rates_scalar(n)
+        fab._compute_rates_scalar()
         assert fab._rate[:n].tolist() == rate.tolist()
         # The public entry point (the compiled kernel on the jit leg)
         # lands on the same assignment.
