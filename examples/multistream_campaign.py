@@ -4,7 +4,7 @@ A campaign matrix is hundreds of *independent* small simulations, and
 for small cells the serial cost of each event step is dominated by
 numpy ufunc dispatch on tiny arrays — above all the shaper fleet's
 ``horizons``/``advance`` pair, paid per cell per step.
-``repro.simulator.multistream.run_streams`` amortizes that dispatch:
+``repro.simulator.multistream.run_cores`` amortizes that dispatch:
 it concatenates every cell's shaper fleet into one super-fleet and
 advances all live cells in lockstep rounds with a single batched
 fleet call pair per round, while each cell still steps by its own
@@ -14,7 +14,8 @@ calls — the identity this example asserts before printing a speedup.
 
 Two entry points are shown:
 
-1. the raw runner — build ``StreamTask``s, call ``run_streams``;
+1. the raw runner — build each cell's event core with
+   ``SparkEngine.stream_state``, pass them all to ``run_cores``;
 2. the campaign form — ``ScenarioCampaign(configs,
    executor=batch_executor())`` (both from ``repro.workload``) runs a
    whole cached matrix of any workload's cells through the same
@@ -32,7 +33,7 @@ from repro.netmodel import TokenBucketModel
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.scenarios import ScenarioConfig
 from repro.simulator import Cluster, NodeSpec, SparkEngine
-from repro.simulator.multistream import StreamTask, run_streams
+from repro.simulator.multistream import run_cores
 from repro.workload import ScenarioCampaign, batch_executor
 
 N_CELLS = 16
@@ -64,12 +65,13 @@ def raw_runner() -> None:
     ]
     serial_wall = time.perf_counter() - start
 
-    tasks = [
-        StreamTask(engine, stream, scheduler="fair")
-        for engine, stream in build_cells()
-    ]
     start = time.perf_counter()
-    batched = run_streams(tasks)
+    batched = run_cores(
+        [
+            engine.stream_state(stream, scheduler="fair")
+            for engine, stream in build_cells()
+        ]
+    )
     batch_wall = time.perf_counter() - start
 
     # Byte-identity is the contract, not an approximation: every

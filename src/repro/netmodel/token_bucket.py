@@ -178,10 +178,6 @@ class TokenBucketModel(LinkModel):
             return self.params.capped_gbps
         return self.params.peak_gbps
 
-    def _net_fill_rate(self, send_rate_gbps: float) -> float:
-        """Budget change rate (Gbit/s) while sending at ``send_rate_gbps``."""
-        return self.params.replenish_gbps - send_rate_gbps
-
     def horizon(self, send_rate_gbps: float) -> float:
         params = self.params
         fill = params.replenish_gbps - send_rate_gbps

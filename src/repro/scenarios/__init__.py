@@ -47,10 +47,8 @@ from repro.scenarios.generate import (
     RandomDagConfig,
     WorkloadMix,
     burst_arrivals,
-    burst_arrivals_iter,
     job_stream,
     poisson_arrivals,
-    poisson_arrivals_iter,
     random_job,
     synthesize_deadlines,
     tpch_like_job,
@@ -84,8 +82,6 @@ __all__ = [
     "TPCH_LIKE_QUERIES",
     "poisson_arrivals",
     "burst_arrivals",
-    "poisson_arrivals_iter",
-    "burst_arrivals_iter",
     "job_stream",
     "ScenarioConfig",
     "ScenarioResult",

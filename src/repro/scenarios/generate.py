@@ -12,11 +12,8 @@ scenario layer manufactures diversity on demand:
   the TPC-H catalog (scan -> join trees -> aggregate), jittered per
   incarnation;
 * :func:`poisson_arrivals` / :func:`burst_arrivals` — arrival
-  processes turning individual jobs into multi-tenant streams, plus
-  lazy ``duration_s``-bounded generator forms
-  (:func:`poisson_arrivals_iter` / :func:`burst_arrivals_iter`) for
-  open-loop streams at production rates that must not allocate
-  O(arrivals) lists up front;
+  processes turning individual jobs into multi-tenant streams (lazy
+  open-loop request arrivals live in :mod:`repro.serving.arrivals`);
 * :func:`job_stream` — the combinator: a seeded mix of random,
   TPC-H-like, and HiBench jobs attached to an arrival process, ready
   for :meth:`repro.simulator.engine.SparkEngine.run_stream`;
@@ -46,8 +43,6 @@ __all__ = [
     "TPCH_LIKE_QUERIES",
     "poisson_arrivals",
     "burst_arrivals",
-    "poisson_arrivals_iter",
-    "burst_arrivals_iter",
     "job_stream",
     "synthesize_deadlines",
 ]
@@ -309,71 +304,6 @@ def burst_arrivals(
         times.extend(base + offsets)
     arr = np.asarray(times)
     return arr - arr[0]
-
-
-def poisson_arrivals_iter(
-    rng: np.random.Generator,
-    rate_per_min: float,
-    duration_s: float,
-):
-    """Lazy :func:`poisson_arrivals`: yield times strictly below ``duration_s``.
-
-    The generator form for open-loop streams at production rates: a
-    million-request arrival process costs O(1) memory because times are
-    drawn one gap at a time and never materialize a list.  The first
-    arrival is t=0 (as in the eager form) and each subsequent gap is
-    one scalar exponential draw, so consuming ``k`` arrivals advances
-    the RNG by exactly ``k - 1`` draws regardless of ``duration_s``.
-    """
-    if rate_per_min <= 0:
-        raise ValueError("arrival rate must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    scale = 60.0 / rate_per_min
-    t = 0.0
-    while t < duration_s:
-        yield t
-        t += rng.exponential(scale=scale)
-
-
-def burst_arrivals_iter(
-    rng: np.random.Generator,
-    jobs_per_burst: int,
-    burst_spacing_s: float,
-    duration_s: float,
-    jitter_s: float = 2.0,
-):
-    """Lazy :func:`burst_arrivals`: bursts forever, bounded by ``duration_s``.
-
-    Yields the same shape of process as the eager form — every
-    ``burst_spacing_s`` a batch of ``jobs_per_burst`` near-simultaneous
-    arrivals, normalized so the first arrival is t=0 — but generates
-    one burst at a time and stops at the first arrival at or past
-    ``duration_s``, so unbounded streams never allocate O(arrivals)
-    up front.
-    """
-    if jobs_per_burst < 1:
-        raise ValueError("need at least one job per burst")
-    if burst_spacing_s <= 0 or jitter_s < 0:
-        raise ValueError("spacing must be positive, jitter non-negative")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    origin = None
-    b = 0
-    while True:
-        base = b * burst_spacing_s
-        offsets = np.sort(rng.uniform(0.0, jitter_s, size=jobs_per_burst))
-        for offset in offsets:
-            t = base + offset
-            if origin is None:
-                # Normalization only depends on the very first arrival,
-                # so laziness survives it.
-                origin = t
-            t -= origin
-            if t >= duration_s:
-                return
-            yield t
-        b += 1
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from repro.scenarios.generate import (
     synthesize_deadlines,
 )
 from repro.simulator.cluster import NodeSpec
-from repro.simulator.engine import SCHEDULERS, SparkEngine, _StreamState
+from repro.simulator.engine import SCHEDULERS
 from repro.stats.confirm import confirm_curve
 from repro.stats.cov import coefficient_of_variation
 from repro.trace import BandwidthTrace
@@ -355,10 +355,8 @@ def prepare_scenario(
             slots=config.slots,
             mean_slack=config.deadline_slack,
         )
-    stream = list(stream)
-    SparkEngine.validate_stream(stream, config.scheduler)
-    state = _StreamState(
-        engine, stream, fabric, scheduler=config.scheduler, recorder=recorder
+    state = engine.stream_state(
+        stream, fabric=fabric, scheduler=config.scheduler, recorder=recorder
     )
     return Prepared(config=config, state=state)
 

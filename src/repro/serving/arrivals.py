@@ -2,8 +2,8 @@
 
 Production request rates mean millions of arrivals per run, so every
 process here is a generator of absolute arrival times bounded by
-``duration_s`` — O(1) memory however long the run, the request-rate
-sibling of :func:`repro.scenarios.generate.poisson_arrivals_iter`.
+``duration_s`` — O(1) memory however long the run.  (DAG job streams
+are short, so :mod:`repro.scenarios.generate` draws them eagerly.)
 Each process draws from an explicit :class:`numpy.random.Generator`
 one scalar at a time, so the same seed reproduces the same stream and
 consuming k arrivals advances the generator by a deterministic number

@@ -8,7 +8,6 @@ repetitions (Figure 19) — all arise from the *interaction* between the
 stage/shuffle structure of the jobs and the per-node shapers.  This
 package models exactly that interaction:
 
-* :mod:`repro.simulator.events` — a minimal event-queue kernel;
 * :mod:`repro.simulator.core` — the workload-agnostic event-driven
   core (:class:`EventCore` + the :class:`WorkloadSource` hook
   protocol) shared by the DAG stream engine and ``repro.serving``;
@@ -16,9 +15,10 @@ package models exactly that interaction:
   sharing, bounded by per-node egress shapers (any
   :class:`~repro.netmodel.base.LinkModel`) and ingress capacities;
 * :mod:`repro.simulator.cluster` — node and cluster descriptions;
-* :mod:`repro.simulator.hdfs` — a block-placement storage substrate
-  used to derive input locality;
-* :mod:`repro.simulator.tasks` — tasks, stages, and job DAGs;
+* :mod:`repro.simulator.tasks` — tasks, stages, and job DAGs.  Input
+  locality is a constant per stage: :attr:`StageSpec.input_locality`
+  of its input is read from local disk, the rest is fetched evenly
+  from the other nodes;
 * :mod:`repro.simulator.engine` — the DAG scheduler / execution engine
   producing runtimes and per-node utilization/budget telemetry.
 
@@ -73,21 +73,16 @@ from repro.simulator.engine import (
     SparkEngine,
     StreamResult,
 )
-from repro.simulator.events import EventQueue
 from repro.simulator.fabric import Fabric, Flow
-from repro.simulator.hdfs import HdfsCluster, HdfsFile
 from repro.simulator.tasks import JobSpec, StageSpec
 
 __all__ = [
-    "EventQueue",
     "EventCore",
     "WorkloadSource",
     "Fabric",
     "Flow",
     "Cluster",
     "NodeSpec",
-    "HdfsCluster",
-    "HdfsFile",
     "JobSpec",
     "StageSpec",
     "SparkEngine",

@@ -319,6 +319,6 @@ class EventCore:
                 obs.now = self.now + dt
             completed_flows = fabric.advance(dt)
             self.step_epilogue(dt, completed_flows)
-        else:
+        if not self.all_done:
             raise RuntimeError("step budget exhausted; stream did not converge")
         return self.finish()

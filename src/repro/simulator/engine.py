@@ -327,11 +327,8 @@ class SparkEngine:
         with a single job the policies mostly coincide, but preempt's
         group tracking and fair's share accounting are exercised).
         """
-        self.validate_stream([(0.0, job)], scheduler)
-        if fabric is None:
-            fabric = self.cluster.build_fabric()
-        state = _StreamState(
-            self, [(0.0, job)], fabric, scheduler=scheduler, recorder=recorder
+        state = self.stream_state(
+            [(0.0, job)], fabric=fabric, scheduler=scheduler, recorder=recorder
         )
         return state.execute().job_results[0]
 
@@ -362,20 +359,41 @@ class SparkEngine:
         spans for this run.  Recorders only observe — results are
         bit-identical with and without one.
         """
+        return self.stream_state(
+            arrivals, fabric=fabric, scheduler=scheduler, recorder=recorder
+        ).execute()
+
+    def stream_state(
+        self,
+        arrivals: Sequence[tuple],
+        fabric: Fabric | None = None,
+        scheduler: str = "fifo",
+        recorder=None,
+    ) -> "_StreamState":
+        """Validate a stream and build its unstarted event core.
+
+        Takes :meth:`run_stream`'s arguments and returns the
+        :class:`~repro.simulator.core.EventCore` that ``run_stream``
+        executes: call ``execute()`` on it to run it alone, or pass
+        several to :func:`repro.simulator.multistream.run_cores` to run
+        them in lockstep (bit-identical per stream).  ``fabric`` is
+        built from the cluster when omitted.
+        """
+        arrivals = list(arrivals)
         self.validate_stream(arrivals, scheduler)
         if fabric is None:
             fabric = self.cluster.build_fabric()
-        state = _StreamState(
-            self, list(arrivals), fabric, scheduler=scheduler, recorder=recorder
+        return _StreamState(
+            self, arrivals, fabric, scheduler=scheduler, recorder=recorder
         )
-        return state.execute()
 
     @staticmethod
     def validate_stream(arrivals: Sequence[tuple], scheduler: str) -> None:
         """Reject malformed streams before any state is built.
 
-        Shared by :meth:`run_stream` and the batched multistream
-        runner, so both paths fail identically on the same inputs.
+        Submission times must be finite and non-negative.  A deadline
+        of ``None`` or ``inf`` means none; any other deadline must be a
+        number no earlier than its submission.
         """
         if not arrivals:
             raise ValueError("a stream needs at least one job")
@@ -384,12 +402,16 @@ class SparkEngine:
                 f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
             )
         for entry in arrivals:
-            submit_s = entry[0]
-            if submit_s < 0:
-                raise ValueError("submission times cannot be negative")
+            submit_s = float(entry[0])
+            if not math.isfinite(submit_s) or submit_s < 0:
+                raise ValueError(
+                    f"submission time {submit_s} is not finite and non-negative"
+                )
             if len(entry) > 2 and entry[2] is not None:
                 deadline = float(entry[2])
-                if not math.isinf(deadline) and deadline < submit_s:
+                if math.isnan(deadline):
+                    raise ValueError("a deadline cannot be NaN")
+                if deadline != math.inf and deadline < submit_s:
                     raise ValueError(
                         f"deadline {deadline} precedes submission {submit_s}"
                     )
@@ -590,16 +612,6 @@ class _StreamState(EventCore):
     def _active_jobs(self) -> list[int]:
         """Admitted, unfinished jobs in submission order."""
         return [j for j in self._admitted if not self.finished[j]]
-
-    def _stage_runnable(self, j: int, index: int) -> bool:
-        stage = self.jobs[j].stages[index]
-        return (
-            self._pending_parents[j][index] == 0
-            and self.launched[j][index] < stage.num_tasks
-        )
-
-    def _job_has_runnable(self, j: int) -> bool:
-        return bool(self._runnable[j])
 
     def _shuffle_shares(self, j: int, stage: StageSpec) -> np.ndarray:
         """Per-node fraction of the stage's shuffle input held locally."""

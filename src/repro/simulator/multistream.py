@@ -8,11 +8,12 @@ per-cell arrays — above all the shaper fleet's ``horizons`` and
 cell per step).  This module amortizes that dispatch across cells: the
 PR 3 struct-of-arrays trick applied one level up.
 
-:func:`run_streams` builds each cell's engine state exactly as
-:meth:`~repro.simulator.engine.SparkEngine.run_stream` would, then
-stitches the cells' shaper fleets into one concatenated super-fleet
-(:func:`~repro.netmodel.fleet.concat_fleets`) whose arrays the
-per-cell fleets alias as slice views.  The driver then advances all
+:func:`run_cores` takes each cell's unstarted event core (for a DAG
+stream, :meth:`~repro.simulator.engine.SparkEngine.stream_state` builds
+the one :meth:`~repro.simulator.engine.SparkEngine.run_stream` would
+execute) and stitches the cells' shaper fleets into one concatenated
+super-fleet (:func:`~repro.netmodel.fleet.concat_fleets`) whose arrays
+the per-cell fleets alias as slice views.  The driver then advances all
 live cells in lockstep rounds:
 
 1. per cell: the engine step prologue (rates, telemetry, next
@@ -31,7 +32,7 @@ live cells in lockstep rounds:
 Per-cell floating-point arithmetic, RNG draw order, and event order
 are exactly the serial path's — every batched fleet operation is
 elementwise in ``dt``, and the per-cell combines are selection-only —
-so results are bit-identical to N ``run_stream`` calls (pinned by
+so results are bit-identical to N serial ``execute`` calls (pinned by
 tests/simulator/test_multistream.py across every scheduler).
 
 Cells that finish early stay in the super-fleet as zero-``dt`` no-op
@@ -46,63 +47,14 @@ the cell serially).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.netmodel.fleet import concat_fleets
 from repro.simulator.core import EventCore
-from repro.simulator.engine import SparkEngine, StreamResult, _StreamState
-from repro.simulator.fabric import Fabric
 
-__all__ = ["StreamTask", "run_streams", "run_cores"]
-
-
-@dataclass
-class StreamTask:
-    """One cell of a batched run: the ``run_stream`` argument tuple."""
-
-    engine: SparkEngine
-    arrivals: Sequence[tuple]
-    scheduler: str = "fifo"
-    #: Optional pre-built fabric (warm shaper state carry-in); built
-    #: from the engine's cluster when None, as ``run_stream`` does.
-    fabric: Fabric | None = field(default=None)
-
-
-def run_streams(tasks: Sequence[StreamTask]) -> list[StreamResult]:
-    """Run every task's stream, batched; results match serial order.
-
-    Equivalent to ``[t.engine.run_stream(t.arrivals, fabric=t.fabric,
-    scheduler=t.scheduler) for t in tasks]`` — bit-identically, per
-    cell — but with all cells' shaper-fleet work batched through one
-    concatenated super-fleet.
-
-    Raises ValueError when the tasks' fleets are not all the same
-    concrete class; callers with mixed matrices should group by fleet
-    class (see ``repro.runtime.executors.BatchExecutor``).
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    states: list[_StreamState] = []
-    for task in tasks:
-        arrivals = list(task.arrivals)
-        SparkEngine.validate_stream(arrivals, task.scheduler)
-        fabric = task.fabric
-        if fabric is None:
-            fabric = task.engine.cluster.build_fabric()
-        states.append(
-            _StreamState(
-                task.engine,
-                arrivals,
-                fabric,
-                scheduler=task.scheduler,
-                recorder=None,
-            )
-        )
-    return run_cores(states)
+__all__ = ["run_cores"]
 
 
 def run_cores(states: "Sequence[EventCore]") -> list:
@@ -118,8 +70,10 @@ def run_cores(states: "Sequence[EventCore]") -> list:
     (see the module docstring for why); per-core step budgets come
     from ``state.max_steps``.
 
-    Constraints are :func:`run_streams`'s: every core's fleet must be
-    the same concrete class, and recorders must be detached.
+    Raises ValueError when the cores' fleets are not all the same
+    concrete class; callers with mixed matrices group by fleet class
+    (see ``repro.runtime.executors.BatchExecutor``).  Recorders must
+    be detached.
     """
     states = list(states)
     if not states:

@@ -1,7 +1,5 @@
 """Tests for randomized workload generation."""
 
-from itertools import islice
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,8 @@ from repro.scenarios import (
     RandomDagConfig,
     WorkloadMix,
     burst_arrivals,
-    burst_arrivals_iter,
     job_stream,
     poisson_arrivals,
-    poisson_arrivals_iter,
     random_job,
     tpch_like_job,
 )
@@ -126,76 +122,6 @@ class TestArrivals:
             poisson_arrivals(rng, 1.0, n_jobs=0)
         with pytest.raises(ValueError):
             burst_arrivals(rng, 0, 1, 60.0)
-
-
-class TestArrivalIterators:
-    def test_poisson_iter_matches_eager_prefix(self):
-        # Same seed, same RNG consumption order: the lazy form must
-        # reproduce the eager array bit for bit up to the duration cut.
-        eager = poisson_arrivals(
-            np.random.default_rng(11), 2.0, n_jobs=200
-        )
-        lazy = list(
-            islice(
-                poisson_arrivals_iter(
-                    np.random.default_rng(11), 2.0, duration_s=1e9
-                ),
-                50,
-            )
-        )
-        assert lazy == list(eager[:50])
-
-    def test_burst_iter_matches_eager(self):
-        eager = burst_arrivals(
-            np.random.default_rng(13), n_bursts=4, jobs_per_burst=3,
-            burst_spacing_s=120.0,
-        )
-        lazy = list(
-            islice(
-                burst_arrivals_iter(
-                    np.random.default_rng(13), jobs_per_burst=3,
-                    burst_spacing_s=120.0, duration_s=1e9,
-                ),
-                eager.size,
-            )
-        )
-        assert lazy == list(eager)
-
-    def test_duration_bounds_and_start_at_zero(self):
-        for times in (
-            list(poisson_arrivals_iter(np.random.default_rng(0), 6.0, 300.0)),
-            list(
-                burst_arrivals_iter(
-                    np.random.default_rng(0), 5, 60.0, 300.0
-                )
-            ),
-        ):
-            assert times[0] == 0.0
-            assert all(t < 300.0 for t in times)
-            assert times == sorted(times)
-
-    def test_lazy_consumption(self):
-        # Building the generator draws nothing; consuming k arrivals
-        # advances the RNG by exactly k - 1 exponential draws.
-        rng = np.random.default_rng(7)
-        before = rng.bit_generator.state
-        gen = poisson_arrivals_iter(rng, 2.0, duration_s=1e9)
-        assert rng.bit_generator.state == before
-        assert next(gen) == 0.0
-        assert rng.bit_generator.state == before
-        next(gen)
-        assert rng.bit_generator.state != before
-
-    def test_iter_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            next(poisson_arrivals_iter(rng, 0.0, 10.0))
-        with pytest.raises(ValueError):
-            next(poisson_arrivals_iter(rng, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            next(burst_arrivals_iter(rng, 0, 60.0, 10.0))
-        with pytest.raises(ValueError):
-            next(burst_arrivals_iter(rng, 1, 60.0, 10.0, jitter_s=-1.0))
 
 
 class TestJobStream:

@@ -23,12 +23,13 @@ from repro.serving.state import ServingState
 from repro.serving.topology import ServiceTopology
 from repro.simulator import Cluster, NodeSpec, SparkEngine
 from repro.simulator.core import EventCore, WorkloadSource
-from repro.simulator.engine import _StreamState
 from repro.simulator.multistream import run_cores
 from tests.simulator.test_golden_trace import _BUCKET, _snapshot
 
 
-def stream_state(seed=20260727, n_jobs=4, scheduler="fair"):
+def stream_state(
+    seed=20260727, n_jobs=4, scheduler="fair", sample_interval_s=5.0
+):
     rng = np.random.default_rng(seed)
     cluster = Cluster(
         n_nodes=5,
@@ -37,10 +38,8 @@ def stream_state(seed=20260727, n_jobs=4, scheduler="fair"):
     )
     times = poisson_arrivals(rng, rate_per_min=3.0, n_jobs=n_jobs)
     stream = job_stream(rng, times, n_nodes=5, slots=4, data_scale=0.15)
-    engine = SparkEngine(cluster, rng=rng, sample_interval_s=5.0)
-    return _StreamState(
-        engine, stream, cluster.build_fabric(), scheduler=scheduler
-    )
+    engine = SparkEngine(cluster, rng=rng, sample_interval_s=sample_interval_s)
+    return engine.stream_state(stream, scheduler=scheduler)
 
 
 def serving_state(seed=3):
@@ -210,3 +209,66 @@ class TestSeamEquivalence:
             for r in run_cores([stream_state(seed=s) for s in seeds])
         ]
         assert batched == serial
+
+
+def run_alone(state):
+    return state.execute()
+
+
+def run_batched(state):
+    [result] = run_cores([state])
+    return result
+
+
+class TestStepBudget:
+    """``max_steps`` is the number of event steps a run may take."""
+
+    @pytest.mark.parametrize("drive", [run_alone, run_batched])
+    def test_exact_budget_runs_and_one_less_raises(self, drive):
+        reference = stream_state().execute()
+        n = reference.n_steps
+        state = stream_state()
+        state.max_steps = n
+        assert _snapshot(drive(state)) == _snapshot(reference)
+        state = stream_state()
+        state.max_steps = n - 1
+        with pytest.raises(RuntimeError, match="step budget exhausted"):
+            drive(state)
+
+    @pytest.mark.parametrize("drive", [run_alone, run_batched])
+    def test_serving_budget_counts_the_same_steps(self, drive):
+        reference = serving_state().execute()
+        state = serving_state()
+        state.max_steps = reference.n_steps
+        assert drive(state).latency == reference.latency
+        state = serving_state()
+        state.max_steps = reference.n_steps - 1
+        with pytest.raises(RuntimeError, match="step budget exhausted"):
+            drive(state)
+
+
+class TestTelemetryGrowth:
+    def test_grown_buffers_match_presized_buffers(self):
+        # A sample on every step overflows the initial 1024 rows; the
+        # doubled buffers must hold exactly what buffers that never
+        # grow would hold.
+        grown_state = stream_state(sample_interval_s=1e-6)
+        initial = grown_state._t_buf.shape[0]
+        grown = grown_state.execute()
+        assert grown.sample_times.size > initial
+        assert grown_state._t_buf.shape[0] > initial
+
+        presized_state = stream_state(sample_interval_s=1e-6)
+        capacity = 4 * grown.sample_times.size
+        n_nodes = presized_state.fabric.n_nodes
+        presized_state._t_buf = np.empty(capacity)
+        presized_state._rate_buf = np.empty((capacity, n_nodes))
+        presized_state._budget_buf = np.empty((capacity, n_nodes))
+        presized = presized_state.execute()
+        assert presized_state._t_buf.shape[0] == capacity
+
+        for name in ("sample_times", "egress_rates", "budgets"):
+            a = getattr(grown, name)
+            b = getattr(presized, name)
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()

@@ -1,70 +1,8 @@
-"""Tests for the HDFS substrate and job descriptions."""
+"""Tests for the stage and job descriptions."""
 
-import numpy as np
 import pytest
 
-from repro.simulator import HdfsCluster, JobSpec, StageSpec
-
-
-class TestHdfs:
-    def test_write_places_blocks_with_replication(self):
-        hdfs = HdfsCluster(n_nodes=12, replication=3, block_gbit=1.0)
-        file = hdfs.write("data", 10.0)
-        assert file.n_blocks == 10
-        for replicas in file.placements:
-            assert len(replicas) == 3
-            assert len(set(replicas)) == 3
-
-    def test_duplicate_write_rejected(self):
-        hdfs = HdfsCluster(n_nodes=4)
-        hdfs.write("data", 1.0)
-        with pytest.raises(ValueError):
-            hdfs.write("data", 1.0)
-
-    def test_delete(self):
-        hdfs = HdfsCluster(n_nodes=4)
-        hdfs.write("data", 1.0)
-        hdfs.delete("data")
-        with pytest.raises(KeyError):
-            hdfs.delete("data")
-
-    def test_usage_accounts_replicas(self):
-        hdfs = HdfsCluster(n_nodes=6, replication=3, block_gbit=1.0)
-        hdfs.write("data", 6.0)
-        usage = hdfs.node_usage_gbit()
-        assert sum(usage) == pytest.approx(18.0)  # 6 blocks x 3 replicas
-
-    def test_read_plan_conserves_volume(self):
-        hdfs = HdfsCluster(n_nodes=12, replication=3, block_gbit=1.0)
-        hdfs.write("data", 40.0)
-        local, remote = hdfs.read_plan("data", reader_node=0)
-        assert local + sum(remote.values()) == pytest.approx(40.0)
-        assert 0 not in remote  # never fetch from yourself
-
-    def test_locality_fraction_high_when_all_nodes_read(self):
-        hdfs = HdfsCluster(n_nodes=12, replication=3)
-        hdfs.write("data", 100.0)
-        fraction = hdfs.locality_fraction("data", list(range(12)))
-        assert fraction == 1.0  # every block has a replica on a reader
-
-    def test_locality_fraction_lower_for_single_reader(self):
-        hdfs = HdfsCluster(n_nodes=12, replication=3)
-        hdfs.write("data", 200.0)
-        fraction = hdfs.locality_fraction("data", [0])
-        # Single reader holds ~3/12 of blocks.
-        assert 0.1 < fraction < 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HdfsCluster(n_nodes=2, replication=3)
-        with pytest.raises(ValueError):
-            HdfsCluster(n_nodes=2, block_gbit=0.0)
-        hdfs = HdfsCluster(n_nodes=4)
-        with pytest.raises(ValueError):
-            hdfs.write("x", 0.0)
-        hdfs.write("y", 1.0)
-        with pytest.raises(ValueError):
-            hdfs.locality_fraction("y", [])
+from repro.simulator import JobSpec, StageSpec
 
 
 class TestStageSpec:

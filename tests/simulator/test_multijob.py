@@ -1,5 +1,7 @@
 """Tests for multi-job stream execution on a shared fabric."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,45 @@ class TestStreamBasics:
             engine.run_stream([(0.0, compute_job())], scheduler="lottery")
         with pytest.raises(ValueError):
             engine.run_stream([(-1.0, compute_job())])
+
+    @pytest.mark.parametrize("entry", ["run_stream", "stream_state"])
+    @pytest.mark.parametrize(
+        "submit_s, deadline_s",
+        [(math.nan, None), (math.inf, None), (0.0, math.nan), (0.0, -math.inf)],
+        ids=["nan-submit", "inf-submit", "nan-deadline", "neg-inf-deadline"],
+    )
+    def test_non_finite_inputs_rejected(self, entry, submit_s, deadline_s):
+        # Left through, a NaN submit deadlocks at t=0, an inf submit
+        # deadlocks once the other jobs finish, a NaN deadline is never
+        # reported missed, and a -inf deadline precedes every submission.
+        engine = SparkEngine(constant_cluster())
+        stream = [
+            (0.0, compute_job("other")),
+            (submit_s, compute_job(), deadline_s),
+        ]
+        with pytest.raises(ValueError):
+            getattr(engine, entry)(stream)
+
+    @pytest.mark.parametrize("entry", ["run_stream", "stream_state"])
+    def test_arrivals_may_be_any_iterable(self, entry):
+        def arrivals():
+            return ((10.0 * i, compute_job(f"j{i}")) for i in range(3))
+
+        def run(stream):
+            engine = SparkEngine(constant_cluster(), rng=np.random.default_rng(0))
+            if entry == "stream_state":
+                return engine.stream_state(stream).execute()
+            return engine.run_stream(stream)
+
+        lazy = run(arrivals())
+        assert [r.job_name for r in lazy.job_results] == ["j0", "j1", "j2"]
+        assert lazy.runtimes().tolist() == run(list(arrivals())).runtimes().tolist()
+
+    @pytest.mark.parametrize("deadline", [math.inf, None])
+    def test_infinite_or_missing_deadline_means_none(self, deadline):
+        engine = SparkEngine(constant_cluster(), rng=np.random.default_rng(0))
+        result = engine.run_stream([(0.0, compute_job(), deadline)])
+        assert result.job_results[0].deadline_missed is None
 
 
 class TestStreamCarryOver:

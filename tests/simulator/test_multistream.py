@@ -1,6 +1,7 @@
 """Equivalence contract for the batched multi-stream runner.
 
-``repro.simulator.multistream.run_streams`` must reproduce N serial
+``repro.simulator.multistream.run_cores`` over
+``SparkEngine.stream_state`` cores must reproduce N serial
 ``run_stream`` calls *bit for bit* — same job runtimes, same stage
 windows, same telemetry floats, same step counts — for every
 scheduler, every fleet class, and mixed-completion batches where cells
@@ -31,7 +32,7 @@ from repro.netmodel.percore import PerCoreQosModel
 from repro.netmodel.stochastic import UniformQuantileSamplingModel
 from repro.scenarios.generate import job_stream, poisson_arrivals
 from repro.simulator import Cluster, NodeSpec, SparkEngine
-from repro.simulator.multistream import StreamTask, run_streams
+from repro.simulator.multistream import run_cores
 
 _BUCKET = TokenBucketParams(
     peak_gbps=10.0,
@@ -106,11 +107,11 @@ class TestRunStreamsEquivalence:
             )
             for seed in seeds
         ]
-        tasks = []
+        states = []
         for seed in seeds:
             engine, stream = _make_cell(seed, scheduler)
-            tasks.append(StreamTask(engine, stream, scheduler=scheduler))
-        batched = [_snapshot(r) for r in run_streams(tasks)]
+            states.append(engine.stream_state(stream, scheduler=scheduler))
+        batched = [_snapshot(r) for r in run_cores(states)]
         assert batched == serial
 
     def test_mixed_schedulers_in_one_batch(self):
@@ -119,11 +120,11 @@ class TestRunStreamsEquivalence:
         for i, sched in enumerate(schedulers):
             engine, stream = _make_cell(500 + i, sched)
             serial.append(_snapshot(engine.run_stream(stream, scheduler=sched)))
-        tasks = []
+        states = []
         for i, sched in enumerate(schedulers):
             engine, stream = _make_cell(500 + i, sched)
-            tasks.append(StreamTask(engine, stream, scheduler=sched))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            states.append(engine.stream_state(stream, scheduler=sched))
+        assert [_snapshot(r) for r in run_cores(states)] == serial
 
     def test_uneven_cell_lifetimes(self):
         # One tiny 1-job cell drains long before a 6-job cell: the
@@ -134,22 +135,22 @@ class TestRunStreamsEquivalence:
         for n_jobs, seed in specs:
             engine, stream = _make_cell(seed, "fair", n_jobs=n_jobs)
             serial.append(_snapshot(engine.run_stream(stream, scheduler="fair")))
-        tasks = []
+        states = []
         for n_jobs, seed in specs:
             engine, stream = _make_cell(seed, "fair", n_jobs=n_jobs)
-            tasks.append(StreamTask(engine, stream, scheduler="fair"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            states.append(engine.stream_state(stream, scheduler="fair"))
+        assert [_snapshot(r) for r in run_cores(states)] == serial
 
     def test_heterogeneous_node_counts(self):
         serial = []
         for n_nodes, seed in [(3, 71), (6, 72), (4, 73)]:
             engine, stream = _make_cell(seed, "fifo", n_nodes=n_nodes)
             serial.append(_snapshot(engine.run_stream(stream, scheduler="fifo")))
-        tasks = []
+        states = []
         for n_nodes, seed in [(3, 71), (6, 72), (4, 73)]:
             engine, stream = _make_cell(seed, "fifo", n_nodes=n_nodes)
-            tasks.append(StreamTask(engine, stream, scheduler="fifo"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            states.append(engine.stream_state(stream, scheduler="fifo"))
+        assert [_snapshot(r) for r in run_cores(states)] == serial
 
     def test_percore_fleet_cells(self):
         factory = lambda node: PerCoreQosModel(cores=4, seed=9000 + node)
@@ -157,36 +158,38 @@ class TestRunStreamsEquivalence:
         for seed in (31, 32):
             engine, stream = _make_cell(seed, "fair", model_factory=factory)
             serial.append(_snapshot(engine.run_stream(stream, scheduler="fair")))
-        tasks = []
+        states = []
         for seed in (31, 32):
             engine, stream = _make_cell(seed, "fair", model_factory=factory)
-            tasks.append(StreamTask(engine, stream, scheduler="fair"))
-        assert [_snapshot(r) for r in run_streams(tasks)] == serial
+            states.append(engine.stream_state(stream, scheduler="fair"))
+        assert [_snapshot(r) for r in run_cores(states)] == serial
 
     def test_mixed_fleet_classes_rejected(self):
-        t1 = StreamTask(*_make_cell(1, "fifo"))
-        t2 = StreamTask(
-            *_make_cell(2, "fifo", model_factory=lambda n: ConstantRateModel(8.0))
+        engine, stream = _make_cell(1, "fifo")
+        s1 = engine.stream_state(stream)
+        engine, stream = _make_cell(
+            2, "fifo", model_factory=lambda n: ConstantRateModel(8.0)
         )
+        s2 = engine.stream_state(stream)
         with pytest.raises(ValueError, match="one class"):
-            run_streams([t1, t2])
+            run_cores([s1, s2])
 
     def test_empty_batch(self):
-        assert run_streams([]) == []
+        assert run_cores([]) == []
 
     def test_single_cell_batch(self):
         engine, stream = _make_cell(55, "fair")
         serial = _snapshot(engine.run_stream(stream, scheduler="fair"))
         engine, stream = _make_cell(55, "fair")
-        [result] = run_streams([StreamTask(engine, stream, scheduler="fair")])
+        [result] = run_cores([engine.stream_state(stream, scheduler="fair")])
         assert _snapshot(result) == serial
 
     def test_validation_matches_run_stream(self):
         engine, stream = _make_cell(1, "fifo")
         with pytest.raises(ValueError, match="unknown scheduler"):
-            run_streams([StreamTask(engine, stream, scheduler="nope")])
+            engine.stream_state(stream, scheduler="nope")
         with pytest.raises(ValueError, match="at least one job"):
-            run_streams([StreamTask(engine, [])])
+            engine.stream_state([])
 
 
 class TestConcatFleets:
