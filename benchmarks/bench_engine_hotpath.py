@@ -1,37 +1,20 @@
 """Simulator hot-path benchmarks: the perf trajectory anchor.
 
-Times the 16-node/200-job multi-tenant stream and the 10k-flow
-water-filling microbench defined in :mod:`repro.bench.hotpath`, and —
-when run as a script — records the numbers in ``BENCH_engine.json``
-next to the pinned pre-refactor baseline:
-
-    python benchmarks/bench_engine_hotpath.py            # update "current"
-    python benchmarks/bench_engine_hotpath.py --save-baseline
-    python benchmarks/bench_engine_hotpath.py --smoke    # CI-sized, no ledger
-    python benchmarks/bench_engine_hotpath.py --check    # regression gate
-
-Under pytest the benchmarks run once each (like every bench_* module)
-and print their rows without touching the ledger.
+Times the 16-node/200-job multi-tenant stream, the 10k-flow
+water-filling microbench and the 64-node shaper fleet against its
+scalar adapter, all defined in :mod:`repro.bench.hotpath`.  Under
+pytest each runs once (like every bench_* module) and prints its row
+without touching the ledger; ``python -m repro bench`` is the one
+command that records or gates ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from pathlib import Path
-
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
 from repro.bench.hotpath import (
-    DEFAULT_RESULTS_PATH,
     bench_shaper_fleet_vs_scalar,
     bench_stream,
     bench_waterfill,
-    run_and_record,
-    run_check,
 )
-from repro.cli import add_bench_check_arguments
 
 
 def test_stream_hotpath(benchmark):
@@ -59,45 +42,3 @@ def test_shaper_fleet_vs_scalar(benchmark):
     print_rows("64-node shaper fleet vs scalar adapter", [result])
     assert result["checksum"] > 0
     assert result["fleet_speedup"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--save-baseline",
-        action="store_true",
-        help="pin this run as the reference implementation",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run; prints results without writing the ledger",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_RESULTS_PATH,
-        help=f"results ledger path (default: {DEFAULT_RESULTS_PATH})",
-    )
-    parser.add_argument(
-        "--label", default="", help="free-form label stored with the run"
-    )
-    add_bench_check_arguments(parser)
-    args = parser.parse_args(argv)
-    if args.check:
-        return run_check(
-            smoke=args.smoke,
-            path=args.json,
-            wall_tolerance=args.wall_tolerance,
-        )
-    return run_and_record(
-        smoke=args.smoke,
-        save_baseline=args.save_baseline,
-        path=args.json,
-        label=args.label,
-        save_smoke=args.save_smoke,
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,35 +8,15 @@ runs must agree on checksum and step count: the recorder only reads
 simulation state, and :func:`repro.bench.hotpath.bench_obs_overhead`
 raises if observability perturbed the trajectory.
 
-    python benchmarks/bench_obs_overhead.py            # full-sized run
-    python benchmarks/bench_obs_overhead.py --smoke    # CI-sized run
-    python benchmarks/bench_obs_overhead.py --check    # gate vs ledger
-
-``--check`` gates only the ``obs_overhead`` case against the shared
-``BENCH_engine.json`` ledger (the recorder-off wall time and the
-checksum); recording the ledger remains the suite-wide job of
-``benchmarks/bench_engine_hotpath.py``.
-
 Under pytest the benchmark runs once (smoke-sized) and prints its row
-without touching the ledger.
+without touching the ledger.  The ``obs_overhead`` case is one row of
+``python -m repro bench``, the one command that records or gates
+``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from pathlib import Path
-
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.bench.hotpath import (
-    DEFAULT_RESULTS_PATH,
-    bench_obs_overhead,
-    check_results,
-    load_results,
-)
-from repro.cli import add_bench_check_arguments
+from repro.bench.hotpath import bench_obs_overhead
 
 
 def test_obs_overhead(benchmark):
@@ -47,58 +27,3 @@ def test_obs_overhead(benchmark):
     assert result["checksum"] > 0
     assert result["spans"] > 0
     assert result["scrapes"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run (20 jobs instead of 200)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_RESULTS_PATH,
-        help=f"results ledger path (default: {DEFAULT_RESULTS_PATH})",
-    )
-    add_bench_check_arguments(parser)
-    args = parser.parse_args(argv)
-    if args.save_smoke:
-        print(
-            "error: the ledger is recorded suite-wide; use "
-            "benchmarks/bench_engine_hotpath.py --save-smoke",
-            file=sys.stderr,
-        )
-        return 2
-    smoke = args.smoke
-    row = bench_obs_overhead(n_jobs=20) if smoke else bench_obs_overhead()
-    print("obs_overhead: " + "  ".join(f"{k}={v}" for k, v in row.items()))
-    if not args.check:
-        return 0
-    section = "smoke" if smoke else "current"
-    reference = load_results(args.json).get(section)
-    if not reference:
-        print(
-            f"error: no {section!r} reference in {args.json}; record one "
-            "with benchmarks/bench_engine_hotpath.py first",
-            file=sys.stderr,
-        )
-        return 2
-    failures = check_results(
-        {"obs_overhead": row}, reference, wall_tolerance=args.wall_tolerance
-    )
-    if failures:
-        for failure in failures:
-            print(f"BENCH CHECK FAILED: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"bench check ok: obs_overhead within {args.wall_tolerance:.2f}x "
-        f"of the {section!r} reference, checksum unchanged "
-        f"(overhead {row['overhead_pct']}%)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,8 +19,8 @@ the ``smoke`` reference section recorded with ``--save-smoke``).
 Comparisons refuse rows whose workload params differ from the
 recorded reference; ``--profile`` archives per-case cProfile tables.
 
-Run it via ``python -m repro bench`` or
-``python benchmarks/bench_engine_hotpath.py``.
+``python -m repro bench`` is the one command that runs the suite
+and records or gates the ledger.
 """
 
 from repro.bench.hotpath import (

@@ -982,7 +982,7 @@ def run_and_record(
     save_smoke: bool = False,
     store: Path | str | None = None,
 ) -> int:
-    """Shared driver for every bench entry point (CLI and script).
+    """Record driver behind ``python -m repro bench``.
 
     Runs the suite, prints per-benchmark rows, and — except for smoke
     runs, which never touch the ledger unless ``save_smoke`` pins them

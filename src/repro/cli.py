@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "main",
     "build_parser",
-    "add_bench_check_arguments",
     "make_runtime_parent",
 ]
 
@@ -84,38 +83,6 @@ def make_runtime_parent(
     )
     return parent
 
-
-def add_bench_check_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared bench regression-gate flags to a parser.
-
-    Both bench entry points (``python -m repro bench`` and
-    ``benchmarks/bench_engine_hotpath.py``) call this so the gate's
-    flags, defaults, and help text cannot drift apart.  It lives here
-    (not in :mod:`repro.bench`) so parser construction stays free of
-    the heavy simulator imports.
-    """
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="regression gate: exit non-zero when a checksum drifts from "
-        "the ledger or wall time regresses beyond --wall-tolerance "
-        "(full runs gate on 'current', --smoke runs on 'smoke'); "
-        "never writes the ledger",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=1.25,
-        metavar="X",
-        help="wall-time regression factor for --check (default: 1.25, "
-        "i.e. fail beyond +25%%; raise on noisy shared runners)",
-    )
-    parser.add_argument(
-        "--save-smoke",
-        action="store_true",
-        help="record a CI-sized run as the 'smoke' reference for "
-        "--check --smoke (implies --smoke)",
-    )
 
 #: artifact name -> (description, fast kwargs, full kwargs)
 _FIGURES: dict[str, tuple[str, dict, dict]] = {
@@ -444,7 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_shard_plan(campaign, n_cells: int, args, store, label: str) -> None:
+def _emit_shard_plan(campaign, n_cells: int, args, label: str) -> None:
     """Write shard manifests and print the worker/merge runbook."""
     if args.shards < 1:
         raise ValueError("--shards must be >= 1")
@@ -459,7 +426,7 @@ def _emit_shard_plan(campaign, n_cells: int, args, store, label: str) -> None:
     stores = " ".join(
         f"{args.shard_dir}/shard-{i}-store" for i in range(len(manifests))
     )
-    merged = store if store else "<campaign-store>"
+    merged = args.store if args.store else "<campaign-store>"
     print(f"  python -m repro merge {stores} --store {merged}")
 
 
@@ -518,19 +485,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     )
     from repro.workload import ScenarioCampaign
 
-    store = args.store or args.repo
     try:
         label, configs = _scenario_configs(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        repository = TraceRepository(store) if store else None
+        repository = TraceRepository(args.store) if args.store else None
         campaign = ScenarioCampaign(
             configs, repository=repository, workers=args.workers
         )
         if args.shards is not None:
-            _emit_shard_plan(campaign, len(configs), args, store, label)
+            _emit_shard_plan(campaign, len(configs), args, label)
             return 0
         outcome = campaign.run()
     except (ValueError, RepositoryCorruptionError) as exc:
@@ -904,10 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fast", action="store_true",
         help="small clusters, few jobs, scaled-down data",
-    )
-    p.add_argument(
-        "--repo", default=None, metavar="DIR",
-        help="deprecated alias for --store",
     )
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -1367,7 +1329,23 @@ def build_parser() -> argparse.ArgumentParser:
         "provenance rows; profiled wall times are instrumented, so "
         "the run is never recorded or gated",
     )
-    add_bench_check_arguments(p)
+    p.add_argument(
+        "--check", action="store_true",
+        help="regression gate: exit non-zero when a checksum drifts from "
+        "the ledger or wall time regresses beyond --wall-tolerance "
+        "(full runs gate on 'current', --smoke runs on 'smoke'); "
+        "never writes the ledger",
+    )
+    p.add_argument(
+        "--wall-tolerance", type=float, default=1.25, metavar="X",
+        help="wall-time regression factor for --check (default: 1.25, "
+        "i.e. fail beyond +25%%; raise on noisy shared runners)",
+    )
+    p.add_argument(
+        "--save-smoke", action="store_true",
+        help="record a CI-sized run as the 'smoke' reference for "
+        "--check --smoke (implies --smoke)",
+    )
     p.add_argument(
         "--json", default="BENCH_engine.json", metavar="PATH",
         help="results ledger path (default: BENCH_engine.json)",

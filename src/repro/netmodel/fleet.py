@@ -91,19 +91,12 @@ class LinkModelFleet(ABC):
     golden-trace pins).  ``models`` exposes the adopted scalar handles;
     reading or mutating one of them observes/updates fleet state
     directly.  :meth:`advance` takes a float ``dt`` or one ``dt`` per
-    link, with the same per-link arithmetic either way.
+    link, with the same per-link arithmetic either way.  Fleets know no
+    observers: a recorder reads :meth:`limits` after each step.
     """
 
     #: Adopted scalar handles, in node order.
     models: list[LinkModel]
-
-    #: Optional observability callback, ``hook(changed_indices,
-    #: limits)``, invoked from :meth:`advance` when any link's ceiling
-    #: actually changed — ``changed_indices`` is an int array of the
-    #: links that flipped and ``limits`` the fresh post-step ceilings.
-    #: Class-level None: attaching a recorder costs nothing until a
-    #: transition occurs, and the unhooked path stays allocation-free.
-    transition_hook = None
 
     #: Per-link bool mask of the links whose ceiling changed, valid
     #: after an :meth:`advance` that returned True and until the next
@@ -195,25 +188,14 @@ class LinkModelFleet(ABC):
         says which links changed.
         """
 
-    def _report(self, changed: np.ndarray) -> bool:
-        """Close :meth:`advance` over its :attr:`changed_links` mask:
-        True when any link changed, after firing the transition hook."""
-        if not changed.any():
-            return False
-        hook = self.transition_hook
-        if hook is not None:
-            hook(np.flatnonzero(changed), self.limits())
-        return True
-
     def rest(self, duration_s: float) -> None:
         """Idle every link for ``duration_s`` (buckets refill).
 
         Each model rests through its own scalar
         :meth:`~repro.netmodel.base.LinkModel.rest`; an adopted model
-        writes straight into the fleet arrays.  Resting never fires
-        :attr:`transition_hook`: it is not a simulated step, and
-        :func:`~repro.simulator.engine.rest_fabric` invalidates the
-        fabric's rates itself.
+        writes straight into the fleet arrays.  Resting is not a
+        simulated step: :func:`~repro.simulator.engine.rest_fabric`
+        invalidates the fabric's rates itself.
         """
         if duration_s < 0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
@@ -287,7 +269,7 @@ class ScalarFleetAdapter(LinkModelFleet):
             model.advance(step, rate)
             if model.limit() != before:
                 changed[index] = True
-        return self._report(changed)
+        return bool(changed.any())
 
     def budgets(self) -> np.ndarray | None:
         if all(hasattr(m, "budget_gbit") for m in self.models):
@@ -451,7 +433,7 @@ class TokenBucketFleet(LinkModelFleet):
         # The ceiling only moves when the tier flips on a link whose
         # two tiers actually differ.
         np.logical_and(flipped, self._tier_differs, out=flipped)
-        return self._report(flipped)
+        return bool(flipped.any())
 
     def budgets(self) -> np.ndarray | None:
         return self._budget
@@ -548,7 +530,7 @@ class ResamplingFleet(LinkModelFleet):
             if value != current[i]:
                 changed[i] = True
             current[i] = value
-        return self._report(changed)
+        return bool(changed.any())
 
 
 class PerCoreQosFleet(LinkModelFleet):
@@ -676,7 +658,7 @@ class PerCoreQosFleet(LinkModelFleet):
         for i, before in old_eff.items():
             if eff[i] != before:
                 changed[i] = True
-        return self._report(changed)
+        return bool(changed.any())
 
 
 def build_fleet(models: Sequence[LinkModel]) -> LinkModelFleet:
@@ -727,8 +709,7 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
     standalone float-``dt`` ``advance``.
 
     All fleets must be the same concrete class (heterogeneous batches
-    would need per-class dispatch — group cells first).  Transition
-    hooks are unsupported: batched runs reject recorders.
+    would need per-class dispatch — group cells first).
     """
     fleets = list(fleets)
     if not fleets:
@@ -739,10 +720,6 @@ def concat_fleets(fleets: Sequence[LinkModelFleet]) -> LinkModelFleet:
             raise ValueError(
                 "all fleets in a batch must share one class; got "
                 f"{cls.__name__} and {type(fleet).__name__}"
-            )
-        if fleet.transition_hook is not None:
-            raise ValueError(
-                "fleets with transition hooks (recorders) cannot batch"
             )
     if cls._CONCAT_ARRAYS is None:
         raise ValueError(f"cannot concatenate fleets of class {cls.__name__}")

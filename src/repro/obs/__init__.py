@@ -7,9 +7,12 @@ Three layers, all inert unless explicitly attached:
   ``run_scenario(..., recorder=...)``) and the run produces Prometheus
   -style metrics (:class:`MetricsRegistry`), sim-time scrapes of
   engine/fabric state as :class:`~repro.trace.TimeSeries`, streaming
-  P² p50/p99/p99.9 latency windows (:class:`WindowedQuantiles`), and
+  P² p50/p99/p99.9 latency windows (:class:`WindowedQuantiles`),
   job/stage/task-group/flow spans (:class:`SpanTracer`) exportable to
-  Chrome trace-event JSON for Perfetto.
+  Chrome trace-event JSON for Perfetto, and shaper throttle/redraw
+  events, which the recorder reads off the fleet's ceilings once per
+  event step.  Recorded cores run serially or batched through
+  :func:`~repro.simulator.multistream.run_cores` alike.
 * **Worker/runtime provenance** — every executed cell records wall
   time, peak RSS, and step count into its store manifest
   (:func:`cell_provenance`), and workers log structured
@@ -21,8 +24,8 @@ Three layers, all inert unless explicitly attached:
 
 The recorder only *reads* simulator state, so enabling observability
 never changes results: golden traces and bench checksums are pinned
-bit-identical with the recorder on and off, and the disabled path adds
-a single pointer check per event.
+bit-identical with the recorder on and off.  ``recorder=None`` is the
+one off switch, and it adds a single pointer check per event.
 """
 
 from repro.obs.logging import StructuredLogger, format_fields
@@ -35,7 +38,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.provenance import PROVENANCE_KEY, cell_provenance
 from repro.obs.quantiles import P2Quantile, WindowedQuantiles, quantile_key
-from repro.obs.recorder import NullRecorder, ObsRecorder
+from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import SpanTracer
 from repro.obs.status import (
     CampaignStatus,
@@ -59,7 +62,6 @@ __all__ = [
     "WindowedQuantiles",
     "quantile_key",
     "ObsRecorder",
-    "NullRecorder",
     "SpanTracer",
     "CampaignStatus",
     "ShardStatus",

@@ -41,7 +41,7 @@ from repro.obs.quantiles import WindowedQuantiles
 from repro.obs.spans import SpanTracer
 from repro.trace import TimeSeries
 
-__all__ = ["ObsRecorder", "NullRecorder"]
+__all__ = ["ObsRecorder"]
 
 
 class ObsRecorder:
@@ -50,14 +50,14 @@ class ObsRecorder:
     Create one recorder per ``run_stream`` call; pass
     ``trace_flows=False`` to skip per-flow spans on very large streams
     (flows dominate span volume).  All hook methods are invoked by the
-    engine/fabric — user code only reads the results afterwards:
+    event core: the DAG stream engine calls the job/stage/task/flow
+    hooks, and every step epilogue calls :meth:`observe_shapers`, which
+    reads the shaper ceilings itself.  User code only reads the
+    results afterwards:
     :attr:`registry`, :meth:`series`, :attr:`task_latency` /
     :attr:`queueing_delay` (``.rows()`` / ``.summary()``), and
     :attr:`tracer` (``.to_chrome_trace()`` / ``.to_jsonl()``).
     """
-
-    #: A falsy ``enabled`` makes the engine treat the recorder as absent.
-    enabled = True
 
     def __init__(
         self,
@@ -70,10 +70,6 @@ class ObsRecorder:
             raise ValueError("scrape_interval_s must be positive")
         self.scrape_interval_s = float(scrape_interval_s)
         self.trace_flows = bool(trace_flows)
-        #: Sim time, maintained by the engine so hooks fired from deep
-        #: inside :meth:`Fabric.advance` (shaper transitions) can stamp
-        #: events at the end of the step being integrated.
-        self.now = 0.0
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
         self.task_latency = WindowedQuantiles(window_s, quantiles)
@@ -161,9 +157,11 @@ class ObsRecorder:
 
         self._last_limits: np.ndarray | None = None
 
-    # -- wiring (called by the engine / fabric) ---------------------------
+    # -- wiring (called by the engine) ------------------------------------
     def bind_stream(self, state) -> None:
-        """Register a stream's job roster (called by the engine)."""
+        """Register a stream's job roster and snapshot its shaper
+        ceilings (called by the engine)."""
+        self._last_limits = state.fabric.fleet.limits()
         seen: dict[str, int] = {}
         names: list[str] = []
         for job in state.jobs:
@@ -178,10 +176,6 @@ class ObsRecorder:
         for j, name in enumerate(names):
             self._tenant_depth.setdefault(name, list(pad))
             self._job_tracks[j] = "job:" + name
-
-    def bind_fabric(self, fabric) -> None:
-        """Snapshot the fleet's ceilings (called by ``set_recorder``)."""
-        self._last_limits = np.asarray(fabric.fleet.limits(), dtype=float)
 
     # -- engine event hooks -----------------------------------------------
     def on_job_admitted(self, state, j: int) -> None:
@@ -304,22 +298,25 @@ class ObsRecorder:
                 late_s=t - deadline,
             )
 
-    # -- fleet hook ---------------------------------------------------------
-    def on_shaper_transition(self, indices, limits) -> None:
-        """Classify ceiling changes as throttles (drop) or redraws.
+    def observe_shapers(self, state) -> None:
+        """Book the shaper ceilings that changed over the last step.
 
-        Called from inside :meth:`LinkModelFleet.advance
-        <repro.netmodel.fleet.LinkModelFleet.advance>` with the changed
-        link indices and the fleet's fresh post-step ceilings; the sim
-        timestamp is :attr:`now`, which the engine sets to the end of
-        the step being integrated.
+        Called by the event core once per step, as soon as sim time
+        reaches the end of the step just integrated.  Compares the
+        fleet's ceilings with those seen last: a link whose ceiling
+        dropped is a throttle (its token bucket depleted), any other
+        change a redraw.
         """
-        t = self.now
+        limits = state.fabric.fleet.limits()
         last = self._last_limits
-        for i in np.asarray(indices).tolist():
+        # Most steps move no ceiling; comparing bytes is the cheapest
+        # exact test on arrays this small.
+        if limits.tobytes() == last.tobytes():
+            return
+        t = state.now
+        for i in np.flatnonzero(limits != last).tolist():
             new = float(limits[i])
-            old = new if last is None else float(last[i])
-            if new < old:
+            if new < float(last[i]):
                 self._c_throttle.inc(node=str(i))
                 self.tracer.event(
                     "shaper_throttle", "fabric", t, "fabric",
@@ -331,7 +328,7 @@ class ObsRecorder:
                     "shaper_redraw", "fabric", t, "fabric",
                     node=i, limit_gbps=new,
                 )
-        self._last_limits = np.asarray(limits, dtype=float)
+        self._last_limits = limits
 
     # -- scraping -----------------------------------------------------------
     def maybe_scrape(self, state, force: bool = False) -> None:
@@ -413,19 +410,3 @@ class ObsRecorder:
         """Final metric values in Prometheus text exposition format."""
         return self.registry.render_prometheus()
 
-
-class NullRecorder:
-    """An explicit 'observability off' recorder.
-
-    ``enabled`` is False, so the engine discards it up front and the
-    simulation runs the exact zero-overhead disabled path; useful when
-    an API wants to thread a recorder unconditionally.
-    """
-
-    enabled = False
-
-    def __getattr__(self, name: str):
-        def _noop(*args, **kwargs) -> None:
-            return None
-
-        return _noop

@@ -54,14 +54,15 @@ step the cost is
   launch passes are skipped on steps where no slot was freed, no
   stage became runnable, and no job arrived.
 
-Telemetry appends into growable preallocated numpy buffers.  The
-refactor is *bit-exact* against the reference implementation — the
-golden-trace test (``tests/simulator/test_golden_trace.py``) pins
-pre-refactor outputs, and determinism tests guarantee same seed ⇒
-identical timings.  Benchmarks: ``python -m repro bench`` (or
-``python benchmarks/bench_engine_hotpath.py``) times a 16-node/200-job
-stream plus a 10k-flow water-filling microbench and records the
-trajectory in ``BENCH_engine.json``; read it with
+Telemetry appends into growable preallocated numpy buffers.  An
+attached recorder adds one fleet ``limits()`` read per step, from which
+it books shaper throttles and redraws; without one, the step pays a
+single ``is not None`` check.  The refactor is *bit-exact* against
+the reference implementation — the golden-trace test
+(``tests/simulator/test_golden_trace.py``) pins pre-refactor outputs,
+and determinism tests guarantee same seed ⇒ identical timings.  Benchmarks: ``python -m repro bench`` times a
+16-node/200-job stream plus a 10k-flow water-filling microbench and
+records the trajectory in ``BENCH_engine.json``; read it with
 ``python -m repro bench --table-only``.
 """
 

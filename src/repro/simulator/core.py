@@ -24,10 +24,11 @@ Two workloads ride the core today:
 
 An event step is::
 
-    events_in = state.step_prologue()        # rates, telemetry, bound
+    events_in = state.step_prologue()        # rates, telemetry, scrape, bound
     dt = min(fabric.horizon(), events_in)    # piecewise-exact step
     completed = fabric.advance(dt)
-    state.step_epilogue(dt, completed)       # timers, arrivals, dispatch
+    state.step_epilogue(dt, completed)       # shaper events, timers,
+                                             # arrivals, dispatch
 
 :meth:`EventCore.execute` drives that loop serially;
 :func:`repro.simulator.multistream.run_cores` drives many cores in
@@ -110,21 +111,17 @@ class EventCore:
     supplies the cluster (node count for telemetry), the RNG, and the
     telemetry sampling interval; ``fabric`` is the shared network the
     workload's flows traverse.  ``recorder`` attaches an
-    :class:`~repro.obs.ObsRecorder`; it is normalized to ``None`` when
-    absent or disabled so the hot path pays exactly one identity check
-    per event, and it only reads state — results are bit-identical
-    with and without one.
+    :class:`~repro.obs.ObsRecorder` (``None``, the default, is the one
+    off switch: the hot path then pays one identity check per event);
+    it only reads state — results are bit-identical with and without
+    one.
     """
 
     def __init__(self, engine, fabric, recorder=None) -> None:
         self.engine = engine
         self.fabric = fabric
         self.now = 0.0
-        self._obs = (
-            recorder
-            if recorder is not None and getattr(recorder, "enabled", True)
-            else None
-        )
+        self._obs = recorder
         # Dispatch passes are pure no-ops unless an event changed what
         # could run since the last pass; the flag lets flow-only event
         # steps skip scheduling.
@@ -234,6 +231,9 @@ class EventCore:
     # driver computes horizons and shaper advances for all cells in one
     # super-fleet call and hands each cell its own dt.  Helper order is
     # exactly the pre-split loop body, so serial traces are unchanged.
+    # The recorder is called from the helpers only (scrapes in the
+    # prologue, shaper ceilings in the epilogue, the flush in finish),
+    # never from the middle, so both drivers record alike.
 
     def begin(self) -> None:
         """Admit and dispatch everything runnable at t=0."""
@@ -271,6 +271,10 @@ class EventCore:
     def step_epilogue(self, dt: float, completed_flows: list) -> None:
         """Close an event step after the fabric advanced by ``dt``."""
         self.now += dt
+        if self._obs is not None:
+            # Shaper ceilings moved (if at all) inside the advance just
+            # integrated; the recorder books them at the step's end.
+            self._obs.observe_shapers(self)
         for flow in completed_flows:
             self._on_flow_complete(flow)
         # Drain every timer due at (or epsilon-past) the new time
@@ -298,13 +302,11 @@ class EventCore:
         self._record(force=True)
         if self._obs is not None:
             self._obs.finalize(self)
-            self.fabric.set_recorder(None)
         return self._build_result()
 
     def execute(self):
         self.begin()
         fabric = self.fabric
-        obs = self._obs
         for _ in range(self.max_steps):
             if self.all_done:
                 break
@@ -313,10 +315,6 @@ class EventCore:
             if math.isinf(dt):
                 raise self.deadlock_error()
             dt = max(dt, 0.0)
-            if obs is not None:
-                # Shaper transitions fire from inside advance(); stamp
-                # them at the end of the step being integrated.
-                obs.now = self.now + dt
             completed_flows = fabric.advance(dt)
             self.step_epilogue(dt, completed_flows)
         if not self.all_done:

@@ -391,9 +391,11 @@ class SparkEngine:
     def validate_stream(arrivals: Sequence[tuple], scheduler: str) -> None:
         """Reject malformed streams before any state is built.
 
-        Submission times must be finite and non-negative.  A deadline
-        of ``None`` or ``inf`` means none; any other deadline must be a
-        number no earlier than its submission.
+        Each entry is ``(submit_s, job)`` or ``(submit_s, job,
+        deadline_s)`` with a :class:`JobSpec` job.  Submission times
+        must be finite and non-negative.  A deadline of ``None`` or
+        ``inf`` means none; any other deadline must be a number no
+        earlier than its submission.
         """
         if not arrivals:
             raise ValueError("a stream needs at least one job")
@@ -401,7 +403,16 @@ class SparkEngine:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
             )
-        for entry in arrivals:
+        for index, entry in enumerate(arrivals):
+            if not (
+                isinstance(entry, (tuple, list))
+                and len(entry) in (2, 3)
+                and isinstance(entry[1], JobSpec)
+            ):
+                raise ValueError(
+                    f"arrival {index} is not (submit_s, job) or "
+                    "(submit_s, job, deadline_s) with a JobSpec job"
+                )
             submit_s = float(entry[0])
             if not math.isfinite(submit_s) or submit_s < 0:
                 raise ValueError(
@@ -478,9 +489,10 @@ def rest_fabric(fabric: Fabric, duration_s: float) -> None:
     Delegates to :meth:`~repro.netmodel.fleet.LinkModelFleet.rest`,
     which rests each node's model through its own
     :meth:`~repro.netmodel.base.LinkModel.rest` (a token bucket refills
-    in one closed-form step) and fires no transition hook.  Shaper
-    ceilings may change while resting, so the fabric's rate assignment
-    is invalidated.
+    in one closed-form step).  Shaper ceilings may change while
+    resting, so the fabric's rate assignment is invalidated; a
+    recorder attached to the next run snapshots the rested ceilings
+    when that run binds it.
     """
     fabric.fleet.rest(duration_s)
     fabric.invalidate_rates()
@@ -588,7 +600,6 @@ class _StreamState(EventCore):
         self._active_groups: list[list[_TaskGroup]] = [[] for _ in self.jobs]
         if self._obs is not None:
             self._obs.bind_stream(self)
-            self.fabric.set_recorder(self._obs)
 
     # -- structural helpers ------------------------------------------------
     def _next_arrival_time(self) -> float:

@@ -206,21 +206,6 @@ class Fabric:
         #: means refills allocate their own array.
         self._egress_out: np.ndarray | None = None
 
-    def set_recorder(self, recorder) -> None:
-        """Attach (or with ``None`` detach) an observability recorder.
-
-        Wires the fleet's :attr:`~repro.netmodel.fleet.LinkModelFleet.
-        transition_hook` to the recorder's shaper-transition handler so
-        throttle/redraw events surface as metrics and trace events.
-        The hook only reads fleet state; detaching restores the
-        zero-overhead path.
-        """
-        if recorder is None:
-            self.fleet.transition_hook = None
-        else:
-            recorder.bind_fabric(self)
-            self.fleet.transition_hook = recorder.on_shaper_transition
-
     # ------------------------------------------------------------------
     # flow registry
     # ------------------------------------------------------------------

@@ -27,7 +27,8 @@ live cells in lockstep rounds:
    synchronizes Python-level rounds, never simulated clocks.  When a
    ceiling changed, the fleet's ``changed_links`` mask is reduced per
    cell into each fabric's limit-changed flag;
-4. per cell: flow integration and the engine step epilogue.
+4. per cell: flow integration and the engine step epilogue (where an
+   attached recorder reads the cell's ceilings, as in a serial run).
 
 Per-cell floating-point arithmetic, RNG draw order, and event order
 are exactly the serial path's — every batched fleet operation is
@@ -38,10 +39,11 @@ tests/simulator/test_multistream.py across every scheduler).
 Cells that finish early stay in the super-fleet as zero-``dt`` no-op
 links until the last cell completes; a zero-``dt`` advance provably
 leaves budgets, tiers, and clocks untouched regardless of the offered
-rates.  Constraints: every cell's fleet must be the same concrete
-class (group heterogeneous matrices first — the campaign batch
-executor does), and recorders are unsupported (attach one by running
-the cell serially).
+rates.  Every cell's fleet must be the same concrete class (group
+heterogeneous matrices first — the campaign batch executor does).
+Recorded cells batch like any other: each recorder reads only its own
+cell, from the shared prologue/epilogue, so its outputs are
+byte-identical to a serial run's.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def run_cores(states: "Sequence[EventCore]") -> list:
 
     Raises ValueError when the cores' fleets are not all the same
     concrete class; callers with mixed matrices group by fleet class
-    (see ``repro.runtime.executors.BatchExecutor``).  Recorders must
-    be detached.
+    (see ``repro.runtime.executors.BatchExecutor``).  Cores may carry
+    recorders.
     """
     states = list(states)
     if not states:

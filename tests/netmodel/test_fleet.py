@@ -392,20 +392,58 @@ class TestPerCoreQosFleetIdentity:
         assert fleet.limits().tolist() == [m.limit() for m in scalars]
         assert fleet.budgets() is None
 
-    def test_transition_hook_reports_net_changes(self):
-        fleet, _ = _percore_pair()
-        events = []
-        fleet.transition_hook = lambda idx, limits: events.append(
-            (idx.tolist(), limits.tolist())
+
+#: One fleet of every class (a constant-rate ceiling never moves).
+_EVERY_FLEET = {
+    "TokenBucketFleet": lambda: _tb_pair()[0],
+    "ConstantRateFleet": lambda: ConstantRateFleet(
+        [ConstantRateModel(r) for r in (1.0, 2.0, 5.0, 10.0)]
+    ),
+    "ResamplingFleet": lambda: _resampling_pair()[0],
+    "PerCoreQosFleet": lambda: _percore_pair()[0],
+    "ScalarFleetAdapter": lambda: ScalarFleetAdapter(
+        [
+            TokenBucketModel(_TB_PARAMS[2]),
+            UniformQuantileSamplingModel(_DIST, interval_s=3.0, seed=31),
+            PerCoreQosModel(cores=2, idle_reset_s=3.0, seed=32),
+            ConstantRateModel(4.0),
+        ]
+    ),
+}
+
+
+class TestAdvanceReportsCeilingChanges:
+    """``advance`` says True exactly when ``limits()`` moved, and its
+    ``changed_links`` mask names exactly the links that moved — under a
+    float ``dt`` and under a per-link ``dt`` array alike."""
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_FLEET))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=40.0),
+                st.floats(min_value=0.0, max_value=12.0),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=20,
         )
-        # Cross several interval boundaries: every link redraws.
-        changed = fleet.advance(30.0, np.full(fleet.n, 2.0))
-        if changed:
-            indices, limits = events[-1]
-            assert indices == sorted(indices)
-            assert limits == fleet.limits().tolist()
-        else:
-            assert not events
+    )
+    def test_advance_flags_exactly_the_changed_ceilings(self, name, steps):
+        fleet = _EVERY_FLEET[name]()
+        spread = np.array([(i % 3) / 2 for i in range(fleet.n)])
+        for dt, rate, per_link in steps:
+            # Some links idle (rate 0) so idle-gap clocks run too; a
+            # per-link step gives some links dt 0.
+            rates = rate * spread
+            step = dt * (1.0 - spread) if per_link else dt
+            before = fleet.limits()
+            changed = fleet.advance(step, rates)
+            moved = fleet.limits() != before
+            assert changed == bool(moved.any()), name
+            if changed:
+                assert fleet.changed_links.tolist() == moved.tolist(), name
 
 
 class TestBuildFleet:
@@ -475,10 +513,10 @@ class TestBuildFleet:
                 fleet.rest(-1.0)
             assert fleet.limits().tolist() == before
 
-    def test_rest_and_reset_never_fire_transition_hook(self):
-        # Resting and resetting are not simulated steps: ceilings move
-        # (an empty bucket refills past its resume threshold, resample
-        # clocks cross boundaries) but the hook stays silent.
+    def test_rest_moves_ceilings_and_reset_restores_them(self):
+        # Resting and resetting are not simulated steps, but ceilings
+        # still move (an empty bucket refills past its resume
+        # threshold, resample clocks cross boundaries).
         for fleet in (
             _tb_pair()[0],
             ConstantRateFleet([ConstantRateModel(1.0) for _ in "ab"]),
@@ -486,15 +524,12 @@ class TestBuildFleet:
             _percore_pair()[0],
             ScalarFleetAdapter([TokenBucketModel(p) for p in _TB_PARAMS]),
         ):
-            events = []
-            fleet.transition_hook = lambda idx, limits: events.append(idx)
             before = fleet.limits().tolist()
             fleet.rest(500.0)
             if not isinstance(fleet, ConstantRateFleet):
                 assert fleet.limits().tolist() != before
             fleet.reset()
             assert fleet.limits().tolist() == before
-            assert events == []
 
 
 class TestAdapterIdentity:

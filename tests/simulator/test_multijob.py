@@ -163,6 +163,19 @@ class TestStreamBasics:
             getattr(engine, entry)(stream)
 
     @pytest.mark.parametrize("entry", ["run_stream", "stream_state"])
+    @pytest.mark.parametrize(
+        "arrival",
+        [(0.0,), (0.0, "x"), (0.0, None, None, 1), (0.0, None), 0.0],
+        ids=["no-job", "str-job", "four-tuple", "none-job", "bare-time"],
+    )
+    def test_malformed_arrivals_rejected(self, entry, arrival):
+        # Left through, each failed with an IndexError or AttributeError
+        # from inside the stream state's constructor.
+        engine = SparkEngine(constant_cluster(n=2))
+        with pytest.raises(ValueError, match="arrival 1"):
+            getattr(engine, entry)([(0.0, compute_job()), arrival])
+
+    @pytest.mark.parametrize("entry", ["run_stream", "stream_state"])
     def test_arrivals_may_be_any_iterable(self, entry):
         def arrivals():
             return ((10.0 * i, compute_job(f"j{i}")) for i in range(3))

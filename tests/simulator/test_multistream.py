@@ -351,12 +351,6 @@ class TestConcatFleets:
         with pytest.raises(ValueError, match="one class"):
             concat_fleets([bucket, const])
 
-    def test_hooked_fleet_rejected(self):
-        fleet = self._bucket_fleet(2)
-        fleet.transition_hook = lambda idx, limits: None
-        with pytest.raises(ValueError, match="hook"):
-            concat_fleets([fleet])
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             concat_fleets([])

@@ -148,15 +148,15 @@ class TestCommands:
         assert "--seed ignored" in captured.err
 
     def test_scenario_fast(self, capsys, tmp_path):
-        repo = str(tmp_path / "cells")
+        store = str(tmp_path / "cells")
         argv = ["scenario", "--fast", "--seed", "7",
                 "--providers", "amazon", "--arrival-rates", "2.0",
-                "--repo", repo]
+                "--store", store]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "scenario sweep" in first
         assert "computed=2 cached=0" in first
-        # Re-running against the same repository hits the cache for
+        # Re-running against the same store hits the cache for
         # every cell and reproduces the rows byte for byte.
         assert main(argv) == 0
         second = capsys.readouterr().out
@@ -166,15 +166,6 @@ class TestCommands:
     def test_scenario_bad_provider(self, capsys):
         assert main(["scenario", "--fast", "--providers", "clowncloud"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_scenario_store_flag_matches_repo_alias(self, capsys, tmp_path):
-        argv = ["scenario", "--fast", "--seed", "7",
-                "--providers", "amazon", "--arrival-rates", "2.0"]
-        assert main(argv + ["--store", str(tmp_path / "a")]) == 0
-        first = capsys.readouterr().out
-        assert main(argv + ["--repo", str(tmp_path / "b")]) == 0
-        second = capsys.readouterr().out
-        assert first == second
 
     def test_shard_worker_merge_workflow(self, capsys, tmp_path):
         base = ["scenario", "--fast", "--seed", "7",
